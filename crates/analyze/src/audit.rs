@@ -270,7 +270,7 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
                 }
             }
             Err(e) => {
-                diagnostics.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string()))
+                diagnostics.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string()));
             }
         }
     }

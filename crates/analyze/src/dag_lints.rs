@@ -44,42 +44,45 @@ pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
     if n == 0 {
         out.push(Diagnostic::error(Code::Dag002, subject, "DAG has no tasks"));
     }
-    let mut seen = std::collections::BTreeSet::new();
-    for &(a, b, _) in &raw.edges {
-        if a as usize >= n || b as usize >= n {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("edge {a} -> {b} references an unknown task (task count {n})"),
-            ));
+    // Well-formed edges (both endpoints known, not a self edge) sorted
+    // by (parent, child, position): a repeated pair sorts right behind
+    // its first occurrence, which is the one that stays.
+    let mut order: Vec<(u32, u32, u32)> = (0u32..)
+        .zip(&raw.edges)
+        .filter(|&(_, &(a, b, _))| (a as usize) < n && (b as usize) < n && a != b)
+        .map(|(i, &(a, b, _))| (a, b, i))
+        .collect();
+    order.sort_unstable();
+    let mut duplicate = vec![false; raw.edges.len()];
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(order.len());
+    for &(a, b, i) in &order {
+        if edges.last() == Some(&(a, b)) {
+            duplicate[i as usize] = true;
+        } else {
+            edges.push((a, b));
+        }
+    }
+    for (&(a, b, _), &dup) in raw.edges.iter().zip(&duplicate) {
+        let detail = if a as usize >= n || b as usize >= n {
+            format!("edge {a} -> {b} references an unknown task (task count {n})")
+        } else if a == b {
+            format!("self edge on task {a}")
+        } else if dup {
+            format!("duplicate edge {a} -> {b}")
+        } else {
             continue;
-        }
-        if a == b {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("self edge on task {a}"),
-            ));
-            continue;
-        }
-        if !seen.insert((a, b)) {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("duplicate edge {a} -> {b}"),
-            ));
-        }
+        };
+        out.push(Diagnostic::error(Code::Dag002, subject, detail));
     }
 
     // --- DAG001: cycles (Kahn over the well-formed edge subset) ------
-    let edges: Vec<(u32, u32)> = seen.into_iter().collect();
-    let width = match topo_levels(n, &edges) {
-        Some(levels) => levels.iter().map(|l| l.len() as u32).max(),
-        None => {
+    let width = match level_width(n, &edges) {
+        Ok(w) => (n > 0).then_some(w),
+        Err(cycle) => {
             out.push(Diagnostic::error(
                 Code::Dag001,
                 subject,
-                format!("cycle among tasks {:?}", cycle_members(n, &edges)),
+                format!("cycle among tasks {cycle:?}"),
             ));
             None
         }
@@ -113,54 +116,43 @@ pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
     (out, width)
 }
 
-/// Kahn topological leveling; `None` when the edge set has a cycle.
-fn topo_levels(n: usize, edges: &[(u32, u32)]) -> Option<Vec<Vec<u32>>> {
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
+/// Kahn levelling over unique edges sorted by parent: the widest
+/// level's size, or, when the edges close a cycle, the tasks Kahn
+/// cannot place — a superset of every cycle, good enough to point a
+/// human at the problem.
+fn level_width(n: usize, edges: &[(u32, u32)]) -> Result<u32, Vec<u32>> {
+    // `start[t]..start[t + 1]` is task t's run of out-edges.
+    let mut start = vec![0u32; n + 1];
+    let mut indeg = vec![0u32; n];
     for &(a, b) in edges {
+        start[a as usize + 1] += 1;
         indeg[b as usize] += 1;
-        succ[a as usize].push(b);
     }
-    let mut frontier: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-    let mut levels = Vec::new();
-    let mut placed = 0usize;
-    while !frontier.is_empty() {
-        placed += frontier.len();
-        let mut next = Vec::new();
-        for &t in &frontier {
-            for &s in &succ[t as usize] {
+    for t in 0..n {
+        start[t + 1] += start[t];
+    }
+    let mut placed: Vec<u32> = Vec::with_capacity(n);
+    placed.extend((0..n as u32).filter(|&t| indeg[t as usize] == 0));
+    let (mut level, mut width) = (0, 0);
+    while level < placed.len() {
+        let next = placed.len();
+        width = width.max(next - level);
+        for k in level..next {
+            let t = placed[k] as usize;
+            for &(_, s) in &edges[start[t] as usize..start[t + 1] as usize] {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
-                    next.push(s);
+                    placed.push(s);
                 }
             }
         }
-        levels.push(std::mem::replace(&mut frontier, next));
+        level = next;
     }
-    (placed == n).then_some(levels)
-}
-
-/// The tasks left unplaced by Kahn's algorithm — a superset of every
-/// cycle, good enough to point a human at the problem.
-fn cycle_members(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        indeg[b as usize] += 1;
-        succ[a as usize].push(b);
+    if placed.len() == n {
+        Ok(width as u32)
+    } else {
+        Err((0..n as u32).filter(|&t| indeg[t as usize] > 0).collect())
     }
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-    let mut removed = vec![false; n];
-    while let Some(t) = queue.pop() {
-        removed[t as usize] = true;
-        for &s in &succ[t as usize] {
-            indeg[s as usize] -= 1;
-            if indeg[s as usize] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    (0..n as u32).filter(|&t| !removed[t as usize]).collect()
 }
 
 #[cfg(test)]

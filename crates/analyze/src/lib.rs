@@ -48,11 +48,16 @@ pub use xlang::{
     SpecView,
 };
 
+use rsg_dag::io::RawDag;
+use rsg_dag::Dag;
 use rsg_obs::Counter;
 use rsg_platform::Platform;
 use rsg_select::classad::parse_classad;
 use rsg_select::sword::parse_sword;
 use rsg_select::vgdl::parse_vgdl;
+
+static OBS_INPUTS: Counter = Counter::new("analyze.inputs");
+static OBS_DIAGS: Counter = Counter::new("analyze.diagnostics");
 
 /// What kind of document an input holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +120,6 @@ impl Input {
 /// DAGs analyzed alongside it (`DAG005`). Pass a [`Platform`] to
 /// enable the satisfiability lints (`SPEC006`).
 pub fn analyze(inputs: &[Input], platform: Option<&Platform>) -> AnalysisReport {
-    static OBS_INPUTS: Counter = Counter::new("analyze.inputs");
-    static OBS_DIAGS: Counter = Counter::new("analyze.diagnostics");
     let _span = rsg_obs::span("analyze/run");
 
     let mut diagnostics = Vec::new();
@@ -130,18 +133,11 @@ pub fn analyze(inputs: &[Input], platform: Option<&Platform>) -> AnalysisReport 
         OBS_INPUTS.incr();
         let subject = input.name.as_str();
         match sniff_kind(&input.text) {
-            SourceKind::Dag => match rsg_dag::io::read_dag_raw(&input.text) {
-                Ok(raw) => {
-                    let (diags, width) = lint_dag(&raw, subject);
-                    diagnostics.extend(diags);
-                    if let Some(w) = width {
-                        max_width = Some(max_width.map_or(w, |m| m.max(w)));
-                    }
+            SourceKind::Dag => {
+                if let Some((_, Some(w))) = lint_dag_text(&input.text, subject, &mut diagnostics) {
+                    max_width = Some(max_width.map_or(w, |m| m.max(w)));
                 }
-                Err(e) => {
-                    diagnostics.push(Diagnostic::error(Code::Parse004, subject, e.to_string()));
-                }
-            },
+            }
             SourceKind::NativeSpec => match parse_spec_doc(&input.text) {
                 Ok(doc) => {
                     diagnostics.extend(lint_spec_doc(&doc, subject, platform));
@@ -227,6 +223,44 @@ pub fn analyze(inputs: &[Input], platform: Option<&Platform>) -> AnalysisReport 
 
     OBS_DIAGS.add(diagnostics.len() as u64);
     AnalysisReport { diagnostics }
+}
+
+/// Analyzes one `rsg-dag v1` document and builds its [`Dag`]: the text
+/// is decoded once, linted, and the [`Dag`] is built from that same
+/// decoded document. The [`Dag`] is returned exactly when no
+/// error-level diagnostic was found.
+pub fn analyze_dag(text: &str, subject: &str) -> (Vec<Diagnostic>, Option<Dag>) {
+    let _span = rsg_obs::span("analyze/run");
+    OBS_INPUTS.incr();
+    let mut diagnostics = Vec::new();
+    // The lints refuse every document the builder refuses, so a clean
+    // document always builds (tests/dag_ingest.rs holds them to it).
+    let dag = lint_dag_text(text, subject, &mut diagnostics)
+        .filter(|_| !diagnostics.iter().any(|d| d.severity == Severity::Error))
+        .and_then(|(raw, _)| raw.build().ok());
+    OBS_DIAGS.add(diagnostics.len() as u64);
+    (diagnostics, dag)
+}
+
+/// Decodes and lints one DAG document, appending the findings to
+/// `out` (a decode failure is `PARSE004`). Returns the decoded
+/// document and its level width when it decoded.
+fn lint_dag_text(
+    text: &str,
+    subject: &str,
+    out: &mut Vec<Diagnostic>,
+) -> Option<(RawDag, Option<u32>)> {
+    match rsg_dag::io::read_dag_raw(text) {
+        Ok(raw) => {
+            let (diags, width) = lint_dag(&raw, subject);
+            out.extend(diags);
+            Some((raw, width))
+        }
+        Err(e) => {
+            out.push(Diagnostic::error(Code::Parse004, subject, e.to_string()));
+            None
+        }
+    }
 }
 
 /// SPEC006/SPEC009 for a view, when it expresses enough to check.

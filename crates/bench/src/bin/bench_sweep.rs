@@ -376,7 +376,7 @@ fn main() {
         eprintln!("bench_sweep: running checkpointed sweep (measure_checkpointed)...");
         let ckpt = CheckpointConfig::new(&journal);
         let t0 = Instant::now();
-        let ckpt_tables =
+        let (ckpt_tables, _) =
             measure_checkpointed(&grid, &cfg, &THRESHOLD_LADDER, REFINE_ROUNDS, &ckpt)
                 .expect("checkpointed sweep failed");
         let ckpt_s = t0.elapsed().as_secs_f64();

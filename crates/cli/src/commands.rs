@@ -230,7 +230,7 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         (None, Some(j)) => {
             let ckpt = rsg_core::CheckpointConfig::new(j);
-            let tables = rsg_core::observation::measure_checkpointed(
+            let (tables, _) = rsg_core::observation::measure_checkpointed(
                 &grid,
                 &cfg,
                 &rsg_core::THRESHOLD_LADDER,

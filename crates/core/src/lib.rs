@@ -69,7 +69,7 @@ pub use heurmodel::HeuristicPredictionModel;
 pub use knee::find_knee;
 pub use observation::{
     measure_checkpointed, measure_shard, merge_shards, shard_journal_path, sweep_fingerprint,
-    CheckpointConfig, KneeTable, ObservationGrid, ShardSpec,
+    CheckpointConfig, CheckpointStats, KneeTable, ObservationGrid, ShardSpec,
 };
 pub use planefit::PlaneFit;
 pub use push::{

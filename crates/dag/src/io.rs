@@ -13,8 +13,9 @@
 //! end
 //! ```
 //!
-//! Task ids must be dense `0..n` and appear before the edges that use
-//! them. Costs are seconds (reference CPU / reference bandwidth).
+//! Task ids must be dense `0..n` and in order; task and edge ids are
+//! integers, and an edge may name any task the document declares.
+//! Costs are seconds (reference CPU / reference bandwidth).
 
 use crate::graph::{Dag, DagBuilder, TaskId};
 use std::fmt;
@@ -59,7 +60,13 @@ impl RawDag {
     /// Validates the raw document through [`DagBuilder`], returning the
     /// first structural error if any.
     pub fn build(&self) -> Result<Dag, crate::graph::DagError> {
-        let mut b = DagBuilder::new();
+        self.build_indexed().map_err(|(_, e)| e)
+    }
+
+    /// [`RawDag::build`], also naming the index of the edge the builder
+    /// refused when the error belongs to one edge.
+    fn build_indexed(&self) -> Result<Dag, (Option<usize>, crate::graph::DagError)> {
+        let mut b = DagBuilder::with_capacity(self.tasks.len(), self.edges.len());
         if !self.name.is_empty() {
             b.name(self.name.clone());
         }
@@ -69,10 +76,11 @@ impl RawDag {
         for &c in &self.tasks {
             b.add_task(c);
         }
-        for &(p, c, w) in &self.edges {
-            b.add_edge(TaskId(p), TaskId(c), w)?;
+        for (i, &(p, c, w)) in self.edges.iter().enumerate() {
+            b.add_edge(TaskId(p), TaskId(c), w)
+                .map_err(|e| (Some(i), e))?;
         }
-        b.build()
+        b.build().map_err(|e| (None, e))
     }
 }
 
@@ -83,10 +91,6 @@ impl RawDag {
 /// static analyzer can report them all instead of stopping at the
 /// first.
 pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
-    let err = |line: usize, msg: &str| DagIoError {
-        line,
-        msg: msg.to_string(),
-    };
     let mut lines = text.lines().enumerate();
     let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
     if header.trim() != "rsg-dag v1" {
@@ -94,69 +98,82 @@ pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
     }
     let mut raw = RawDag::default();
     let mut saw_end = false;
-    for (i, line_raw) in lines {
-        let line = line_raw.trim();
+    for (i, line) in lines {
         let lno = i + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
         let mut parts = line.split_whitespace();
         match parts.next() {
-            Some("name") => raw.name = parts.collect::<Vec<_>>().join(" "),
-            Some("refclock") => {
-                let v: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "refclock needs a value"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad refclock"))?;
-                raw.ref_clock_mhz = Some(v);
+            None => {}
+            Some(d) if d.starts_with('#') => {}
+            Some("edge") => {
+                let p = field(
+                    &mut parts,
+                    lno,
+                    "edge needs a parent id",
+                    "bad edge parent id",
+                )?;
+                let c = field(
+                    &mut parts,
+                    lno,
+                    "edge needs a child id",
+                    "bad edge child id",
+                )?;
+                let w = field(&mut parts, lno, "edge needs a cost", "bad edge cost")?;
+                raw.edges.push((p, c, w));
             }
             Some("task") => {
-                let id: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs an id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task id"))?;
+                let id: u32 = field(&mut parts, lno, "task needs an id", "bad task id")?;
                 if id as usize != raw.tasks.len() {
                     return Err(err(lno, "task ids must be dense and in order"));
                 }
-                let comp: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs a cost"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task cost"))?;
-                raw.tasks.push(comp);
+                raw.tasks.push(field(
+                    &mut parts,
+                    lno,
+                    "task needs a cost",
+                    "bad task cost",
+                )?);
             }
-            Some("edge") => {
-                let mut field = |what: &str| -> Result<String, DagIoError> {
-                    parts
-                        .next()
-                        .map(str::to_string)
-                        .ok_or_else(|| err(lno, what))
-                };
-                let p: u32 = field("edge needs a parent id")?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge parent id"))?;
-                let c: u32 = field("edge needs a child id")?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge child id"))?;
-                let w: f64 = field("edge needs a cost")?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge cost"))?;
-                raw.edges.push((p, c, w));
+            Some("name") => raw.name = parts.collect::<Vec<_>>().join(" "),
+            Some("refclock") => {
+                raw.ref_clock_mhz = Some(field(
+                    &mut parts,
+                    lno,
+                    "refclock needs a value",
+                    "bad refclock",
+                )?);
             }
             Some("end") => {
                 saw_end = true;
                 break;
             }
             Some(other) => return Err(err(lno, &format!("unknown directive '{other}'"))),
-            None => unreachable!(),
         }
     }
     if !saw_end {
         return Err(err(text.lines().count(), "missing 'end'"));
     }
     Ok(raw)
+}
+
+fn err(line: usize, msg: &str) -> DagIoError {
+    DagIoError {
+        line,
+        msg: msg.to_string(),
+    }
+}
+
+/// Parses the next field of line `lno`; `missing` and `bad` are the
+/// messages for an absent and an unparsable field.
+fn field<'a, T: std::str::FromStr>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    lno: usize,
+    missing: &str,
+    bad: &str,
+) -> Result<T, DagIoError> {
+    parts
+        .next()
+        .ok_or_else(|| err(lno, missing))?
+        .parse()
+        .map_err(|_| err(lno, bad))
 }
 
 /// Serializes a DAG to the text format.
@@ -179,83 +196,26 @@ pub fn write_dag(dag: &Dag) -> String {
     out
 }
 
-/// Parses the text format.
+/// Parses the text format: [`read_dag_raw`], then [`RawDag::build`].
+/// An error that belongs to one edge carries that edge's line; a
+/// graph-level error (no tasks, a bad task cost, a duplicate edge, a
+/// cycle) carries line 0.
 pub fn read_dag(text: &str) -> Result<Dag, DagIoError> {
-    let err = |line: usize, msg: &str| DagIoError {
-        line,
-        msg: msg.to_string(),
-    };
-    let mut lines = text.lines().enumerate();
-    let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
-    if header.trim() != "rsg-dag v1" {
-        return Err(err(i + 1, "expected 'rsg-dag v1' header"));
-    }
+    read_dag_raw(text)?
+        .build_indexed()
+        .map_err(|(edge, e)| DagIoError {
+            line: edge.map_or(0, |k| edge_line(text, k)),
+            msg: e.to_string(),
+        })
+}
 
-    let mut b = DagBuilder::new();
-    let mut next_task = 0u32;
-    let mut saw_end = false;
-    for (i, raw) in lines {
-        let line = raw.trim();
-        let lno = i + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("name") => {
-                b.name(parts.collect::<Vec<_>>().join(" "));
-            }
-            Some("refclock") => {
-                let v: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "refclock needs a value"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad refclock"))?;
-                b.reference_clock_mhz(v);
-            }
-            Some("task") => {
-                let id: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs an id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task id"))?;
-                if id != next_task {
-                    return Err(err(lno, "task ids must be dense and in order"));
-                }
-                let comp: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs a cost"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task cost"))?;
-                b.add_task(comp);
-                next_task += 1;
-            }
-            Some("edge") => {
-                let mut num = |what: &str| -> Result<f64, DagIoError> {
-                    parts
-                        .next()
-                        .ok_or_else(|| err(lno, what))?
-                        .parse()
-                        .map_err(|_| err(lno, what))
-                };
-                let p = num("edge needs a parent id")? as u32;
-                let c = num("edge needs a child id")? as u32;
-                let w = num("edge needs a cost")?;
-                b.add_edge(TaskId(p), TaskId(c), w)
-                    .map_err(|e| err(lno, &e.to_string()))?;
-            }
-            Some("end") => {
-                saw_end = true;
-                break;
-            }
-            Some(other) => return Err(err(lno, &format!("unknown directive '{other}'"))),
-            None => unreachable!(),
-        }
-    }
-    if !saw_end {
-        return Err(err(text.lines().count(), "missing 'end'"));
-    }
-    b.build().map_err(|e| err(0, &e.to_string()))
+/// The 1-based line of the `k`-th `edge` directive.
+fn edge_line(text: &str, k: usize) -> usize {
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| l.split_whitespace().next() == Some("edge"))
+        .nth(k)
+        .map_or(0, |(i, _)| i + 1)
 }
 
 /// Exports a DAG as Graphviz DOT (tasks labeled with their costs).

@@ -2,10 +2,13 @@
 //! sweep: a sweep aborted mid-run must resume from its journal and
 //! produce knee tables *byte-identical* to an uninterrupted run, with
 //! zero recomputed completed cells (asserted through the
-//! `core.store.*` and `core.sweep.*` obs counters).
+//! `CheckpointStats` each sweep returns, so tests running in parallel
+//! cannot disturb the counts).
 
 use rsg::core::curve::CurveConfig;
-use rsg::core::observation::{measure, measure_checkpointed, CheckpointConfig, ObservationGrid};
+use rsg::core::observation::{
+    measure, measure_checkpointed, CheckpointConfig, CheckpointStats, ObservationGrid,
+};
 use rsg::core::persist::knee_tables_to_tsv;
 use rsg::core::store::{self, StoreError, SweepJournal};
 
@@ -17,7 +20,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
-    let _guard = rsg::obs::test_guard();
     let grid = ObservationGrid::tiny();
     let cfg = CurveConfig::default();
     let thetas = [0.001, 0.05];
@@ -32,11 +34,9 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
 
     let journal = tmpdir("abort").join("sweep.journal");
     let _ = std::fs::remove_file(&journal);
-    rsg::obs::enable(true);
 
     // Run 1: the injected cell budget kills the sweep mid-way. The
     // journal must hold exactly the completed cells.
-    rsg::obs::reset();
     let mut ckpt = CheckpointConfig::new(&journal);
     ckpt.cell_budget = Some(abort_after);
     let err = measure_checkpointed(&grid, &cfg, &thetas, refine, &ckpt).unwrap_err();
@@ -50,29 +50,20 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
         }
         other => panic!("expected an abort, got {other:?}"),
     }
-    let report = rsg::obs::RunReport::capture();
-    assert_eq!(report.counter("core.store.cells_resumed"), 0);
-    assert_eq!(
-        report.counter("core.store.cells_checkpointed"),
-        abort_after as u64
-    );
+    let (_, _, journaled, damaged) = SweepJournal::verify(&journal).unwrap();
+    assert_eq!((journaled, damaged), (abort_after, 0));
 
     // Run 2: restart with no budget. Every journaled cell is resumed —
     // not recomputed — and the tables are byte-identical to the clean
     // run.
-    rsg::obs::reset();
     ckpt.cell_budget = None;
-    let resumed = measure_checkpointed(&grid, &cfg, &thetas, refine, &ckpt).unwrap();
-    let report = rsg::obs::RunReport::capture();
+    let (resumed, stats) = measure_checkpointed(&grid, &cfg, &thetas, refine, &ckpt).unwrap();
     assert_eq!(
-        report.counter("core.store.cells_resumed"),
-        abort_after as u64,
+        stats.resumed, abort_after,
         "exactly the aborted run's cells must be served from the journal"
     );
-    assert_eq!(
-        report.counter("core.store.cells_checkpointed"),
-        (total - abort_after) as u64
-    );
+    assert_eq!(stats.checkpointed, total - abort_after);
+    assert!(stats.ladder_evals > 0);
     assert_eq!(
         knee_tables_to_tsv(&resumed),
         clean_tsv,
@@ -81,23 +72,21 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
 
     // Run 3: everything is journaled now. The sweep replays the whole
     // grid and performs zero ladder evaluations.
-    rsg::obs::reset();
-    let replayed = measure_checkpointed(&grid, &cfg, &thetas, refine, &ckpt).unwrap();
-    let report = rsg::obs::RunReport::capture();
-    assert_eq!(report.counter("core.store.cells_resumed"), total as u64);
+    let (replayed, stats) = measure_checkpointed(&grid, &cfg, &thetas, refine, &ckpt).unwrap();
     assert_eq!(
-        report.counter("core.sweep.ladder_evals"),
-        0,
+        stats,
+        CheckpointStats {
+            resumed: total,
+            checkpointed: 0,
+            ladder_evals: 0,
+        },
         "a fully-journaled sweep must not re-evaluate any cell"
     );
     assert_eq!(knee_tables_to_tsv(&replayed), clean_tsv);
-
-    rsg::obs::enable(false);
 }
 
 #[test]
 fn damaged_journal_tail_recomputes_only_the_tail() {
-    let _guard = rsg::obs::test_guard();
     let grid = ObservationGrid::tiny();
     let cfg = CurveConfig::default();
     let thetas = [0.01];
@@ -117,8 +106,10 @@ fn damaged_journal_tail_recomputes_only_the_tail() {
             .unwrap();
         f.write_all(b"cell\t999\t4.0").unwrap();
     }
-    let resumed = measure_checkpointed(&grid, &cfg, &thetas, 0, &ckpt).unwrap();
+    let (resumed, stats) = measure_checkpointed(&grid, &cfg, &thetas, 0, &ckpt).unwrap();
     assert_eq!(knee_tables_to_tsv(&resumed), clean_tsv);
+    // The torn line held no complete cell, so nothing is recomputed.
+    assert_eq!((stats.resumed, stats.checkpointed), (grid.cells(), 0));
 }
 
 #[test]
@@ -133,8 +124,12 @@ fn corrupt_journal_is_quarantined_not_trusted() {
     let _ = std::fs::remove_file(dir.join("sweep.journal.corrupt"));
     std::fs::write(&journal, "not a journal at all\ncell\t0\tgarbage\n").unwrap();
     let ckpt = CheckpointConfig::new(&journal);
-    let tables = measure_checkpointed(&grid, &cfg, &thetas, 0, &ckpt).unwrap();
+    let (tables, stats) = measure_checkpointed(&grid, &cfg, &thetas, 0, &ckpt).unwrap();
     assert_eq!(knee_tables_to_tsv(&tables), clean_tsv);
+    assert_eq!(
+        stats.resumed, 0,
+        "nothing is trusted from a corrupt journal"
+    );
     assert!(
         dir.join("sweep.journal.corrupt").exists(),
         "the damaged journal must be preserved for inspection"
