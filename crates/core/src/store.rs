@@ -45,6 +45,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Envelope-format version written by this crate.
@@ -533,6 +534,7 @@ pub struct SweepJournal {
     completed: HashMap<usize, Vec<f64>>,
     recovery: JournalRecovery,
     file: Mutex<File>,
+    appended: AtomicUsize,
 }
 
 impl SweepJournal {
@@ -591,6 +593,7 @@ impl SweepJournal {
                 completed,
                 recovery,
                 file: Mutex::new(f),
+                appended: AtomicUsize::new(0),
             });
         }
 
@@ -610,6 +613,7 @@ impl SweepJournal {
             completed,
             recovery,
             file: Mutex::new(file),
+            appended: AtomicUsize::new(0),
         })
     }
 
@@ -740,7 +744,13 @@ impl SweepJournal {
             .map_err(|e| StoreError::io(&self.path, "fsync", &e))?;
         OBS_FSYNCS.incr();
         OBS_CELLS_CHECKPOINTED.incr();
+        self.appended.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// How many cells this handle has appended since it was opened.
+    pub fn appended(&self) -> usize {
+        self.appended.load(Ordering::Relaxed)
     }
 
     /// Read-only validation of a journal file (used by `rsg store
