@@ -13,6 +13,7 @@
 //! because spec languages (vgDL, ClassAds) have no reserved magic.
 
 use rsg_core::store;
+use rsg_core::{DeltaJournal, SweepJournal};
 use std::path::{Path, PathBuf};
 
 /// What a classified file is.
@@ -138,9 +139,9 @@ fn classify_text(text: &str, in_specs: bool) -> Option<(ArtifactKind, String)> {
         ArtifactKind::HeurModel
     } else if head.starts_with("rsg-knee-table\t") {
         ArtifactKind::KneeTables
-    } else if head.starts_with("rsg-sweep-journal\t") {
+    } else if SweepJournal::sniff(head) {
         ArtifactKind::SweepJournal
-    } else if head.starts_with("rsg-delta-journal\t") {
+    } else if DeltaJournal::sniff(head) {
         ArtifactKind::DeltaJournal
     } else if head.starts_with("rsg-platform\t") {
         ArtifactKind::PlatformFile

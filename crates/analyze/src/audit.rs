@@ -12,13 +12,13 @@
 //! * the fingerprint chain — a delta journal keyed to a different
 //!   engine configuration, or sweep-journal shards that disagree with
 //!   each other, are errors *before* boot, not quarantines at runtime;
-//! * a **static delta-stream fold** ([`StaticFold`]) that abstractly
-//!   replays the delta journals onto the platform without constructing
-//!   a `PushEngine` — same classification, same refusals, bit-identical
-//!   final state (proved by the differential test in
-//!   `tests/audit_fold_equiv.rs`) — surfacing open sequence gaps,
-//!   conflicting redeliveries, records the fold must refuse, and
-//!   clamp-saturating drifts;
+//! * a **delta-stream fold** that replays the delta journals onto the
+//!   platform with the push engine's own [`DeltaSequencer`] — the
+//!   engine is that sequencer plus recomputation, so the fold's
+//!   classification, refusals and final platform are the boot replay's
+//!   by construction, without paying for a single sweep cell —
+//!   surfacing open sequence gaps, conflicting redeliveries, records
+//!   boot would refuse, and clamp-saturating drifts;
 //! * whether the **post-fold** platform still satisfies every spec in
 //!   the corpus, reusing the SPEC satisfiability model — a stream of
 //!   perfectly valid host-leave deltas that strands a committed spec is
@@ -35,193 +35,14 @@ use crate::diag::{AnalysisReport, Code, Diagnostic, Severity};
 use crate::model_lints::{lint_heuristic_model, lint_size_model};
 use crate::{analyze, Input};
 use rsg_core::observation::{sweep_fingerprint, ObservationGrid};
-use rsg_core::push::{DeltaJournal, DeltaRecord, MAX_PARKED};
+use rsg_core::push::DeltaJournal;
 use rsg_core::{CurveConfig, SweepJournal, THRESHOLD_LADDER};
-use rsg_platform::delta::DeltaError;
+use rsg_platform::delta::{DeltaError, DeltaSequencer};
 use rsg_platform::{CostModel, Platform, PlatformFile};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 static OBS_AUDITS: rsg_obs::Counter = rsg_obs::Counter::new("audit.trees");
 static OBS_AUDIT_ARTIFACTS: rsg_obs::Counter = rsg_obs::Counter::new("audit.artifacts");
-
-/// What one [`StaticFold::submit_batch`] call did — the abstract
-/// counterpart of the push engine's `BatchOutcome`, minus the recompute
-/// counters (`dirtied`/`recomputed`) the fold deliberately does not
-/// model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FoldOutcome {
-    /// Records applied to the platform (batch + drained parked).
-    pub applied: usize,
-    /// Records skipped as duplicates.
-    pub duplicates: usize,
-    /// Records parked awaiting a gap fill.
-    pub parked: usize,
-    /// Previously parked records dropped at drain time, plus records
-    /// refused by parked-buffer overflow.
-    pub rejected: usize,
-    /// Whether this batch closed a pre-existing sequence gap.
-    pub resynced: bool,
-}
-
-/// One record the tolerant replay dropped, with why.
-#[derive(Debug, Clone)]
-pub struct FoldRefusal {
-    /// Sequence number of the refused record.
-    pub seq: u64,
-    /// The error the fold (and therefore the engine) reports.
-    pub error: DeltaError,
-}
-
-/// The abstract delta-stream fold: the push engine's exact
-/// classification and platform state machine with the model recompute
-/// stripped out. `submit_batch` mirrors `PushEngine::submit_batch`
-/// line for line — sorting, duplicate/conflict/park classification,
-/// transactional batch refusal, drain-time drops, the
-/// `highest_seen` ratchet rules and the parked-buffer bound — so an
-/// offline audit can predict precisely what a boot-time replay will do
-/// without paying for a single sweep cell.
-#[derive(Debug, Clone)]
-pub struct StaticFold {
-    platform: Platform,
-    cost: CostModel,
-    pending: BTreeMap<u64, DeltaRecord>,
-    applied_seq: u64,
-    highest_seen: u64,
-}
-
-impl StaticFold {
-    /// Starts the fold at sequence zero over a base platform.
-    pub fn new(platform: Platform, cost: CostModel) -> StaticFold {
-        StaticFold {
-            platform,
-            cost,
-            pending: BTreeMap::new(),
-            applied_seq: 0,
-            highest_seen: 0,
-        }
-    }
-
-    /// The folded platform so far.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The folded cost model so far.
-    pub fn cost(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Highest contiguously applied sequence number.
-    pub fn applied_seq(&self) -> u64 {
-        self.applied_seq
-    }
-
-    /// Highest sequence number ever accepted (applied or parked).
-    pub fn highest_seen(&self) -> u64 {
-        self.highest_seen
-    }
-
-    /// The lowest missing sequence number, when a gap is open.
-    pub fn gap(&self) -> Option<u64> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.applied_seq + 1)
-        }
-    }
-
-    /// `highest_seen - applied_seq`: 0 means fully current.
-    pub fn lag(&self) -> u64 {
-        self.highest_seen - self.applied_seq
-    }
-
-    /// Folds one batch with the push engine's exact transactional
-    /// semantics: any failure of an *incoming* contiguous record
-    /// refuses the whole batch with no state change; a *previously
-    /// parked* record that fails at drain time is dropped and its
-    /// sequence number skipped.
-    pub fn submit_batch(&mut self, records: &[DeltaRecord]) -> Result<FoldOutcome, DeltaError> {
-        let mut out = FoldOutcome::default();
-        let gap_was_open = !self.pending.is_empty();
-
-        let mut platform = self.platform.clone();
-        let mut cost = self.cost;
-        let mut pending = self.pending.clone();
-        let mut applied_seq = self.applied_seq;
-        let mut highest_seen = self.highest_seen;
-        let mut applied_any = false;
-
-        let mut incoming: Vec<DeltaRecord> = records.to_vec();
-        incoming.sort_by_key(|r| r.seq);
-
-        for rec in &incoming {
-            if rec.seq <= applied_seq {
-                out.duplicates += 1;
-                continue;
-            }
-            if let Some(parked) = pending.get(&rec.seq) {
-                if parked.delta == rec.delta {
-                    out.duplicates += 1;
-                    continue;
-                }
-                return Err(DeltaError::ConflictingSeq(rec.seq));
-            }
-            if rec.seq == applied_seq + 1 {
-                rec.delta.apply(&mut platform, &mut cost)?;
-                applied_seq = rec.seq;
-                highest_seen = highest_seen.max(rec.seq);
-                out.applied += 1;
-                applied_any = true;
-                while let Some(next) = pending.remove(&(applied_seq + 1)) {
-                    match next.delta.apply(&mut platform, &mut cost) {
-                        Ok(()) => {
-                            out.applied += 1;
-                            applied_any = true;
-                        }
-                        Err(_) => out.rejected += 1,
-                    }
-                    applied_seq = next.seq;
-                    highest_seen = highest_seen.max(next.seq);
-                }
-            } else if pending.len() >= MAX_PARKED {
-                out.rejected += 1;
-            } else {
-                pending.insert(rec.seq, *rec);
-                out.parked += 1;
-                highest_seen = highest_seen.max(rec.seq);
-            }
-        }
-
-        self.platform = platform;
-        self.cost = cost;
-        self.pending = pending;
-        self.applied_seq = applied_seq;
-        self.highest_seen = highest_seen;
-
-        if gap_was_open && applied_any && self.pending.is_empty() {
-            out.resynced = true;
-        }
-        Ok(out)
-    }
-
-    /// Folds a journal's records with the boot-replay discipline: one
-    /// record per batch, in file order, refusals dropped and collected
-    /// instead of poisoning the rest of the stream — exactly what the
-    /// serving tier's tracker does when it replays a recovered journal.
-    pub fn replay(&mut self, records: &[DeltaRecord]) -> Vec<FoldRefusal> {
-        let mut refused = Vec::new();
-        for rec in records {
-            if let Err(error) = self.submit_batch(std::slice::from_ref(rec)) {
-                refused.push(FoldRefusal {
-                    seq: rec.seq,
-                    error,
-                });
-            }
-        }
-        refused
-    }
-}
 
 /// The engine configuration fingerprint `rsg serve` keys its delta
 /// journal with: the tiny observation grid, default curve
@@ -284,9 +105,9 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
     //    fingerprint agreement no single-file check can do.
     diagnostics.extend(lint_sweep_journals(&artifacts));
 
-    // 4. Delta journals: fingerprint binding, then the static fold in
-    //    path order (segments of one stream — cross-journal duplicate
-    //    and conflict semantics come free from the fold).
+    // 4. Delta journals: fingerprint binding, then the sequencer fold
+    //    in path order (segments of one stream — cross-journal duplicate
+    //    and conflict semantics come free from the sequencer).
     let (fold, delta_diags) = fold_delta_journals(&artifacts, &base_platform);
     diagnostics.extend(delta_diags);
 
@@ -411,22 +232,23 @@ fn lint_sweep_journals(artifacts: &[Artifact]) -> Vec<Diagnostic> {
 fn fold_delta_journals(
     artifacts: &[Artifact],
     base_platform: &Platform,
-) -> (StaticFold, Vec<Diagnostic>) {
+) -> (DeltaSequencer, Vec<Diagnostic>) {
     let mut out = Vec::new();
-    let mut fold = StaticFold::new(base_platform.clone(), CostModel::default());
+    let mut fold = DeltaSequencer::new(base_platform.clone(), CostModel::default());
     let expected_fp = serve_engine_fingerprint();
     let mut last_subject = None;
     for a in artifacts
         .iter()
         .filter(|a| a.kind == ArtifactKind::DeltaJournal)
     {
-        let (fp, records, damaged) = match DeltaJournal::read_records(&a.path) {
-            Ok(t) => t,
+        let journal = match DeltaJournal::read(&a.path) {
+            Ok(j) => j,
             Err(e) => {
                 out.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string()));
                 continue;
             }
         };
+        let (fp, records) = (journal.fingerprint, journal.records);
         if fp != expected_fp {
             out.push(Diagnostic::error(
                 Code::Audit003,
@@ -439,13 +261,14 @@ fn fold_delta_journals(
             ));
             continue;
         }
-        if damaged > 0 {
+        if journal.damaged > 0 {
             out.push(Diagnostic::warn(
                 Code::Audit008,
                 &a.subject,
                 format!(
-                    "torn tail: {damaged} damaged line(s) after {} intact record(s); \
+                    "torn tail: {} damaged line(s) after {} intact record(s); \
                      boot will truncate them",
+                    journal.damaged,
                     records.len()
                 ),
             ));
@@ -464,18 +287,15 @@ fn fold_delta_journals(
                 ));
             }
         }
-        for refusal in fold.replay(&records) {
-            let (code, verb) = match refusal.error {
+        for (rec, error) in fold.replay(&records).1 {
+            let (code, verb) = match error {
                 DeltaError::ConflictingSeq(_) => (Code::Audit005, "conflicting redelivery"),
                 _ => (Code::Audit006, "invalid record"),
             };
             out.push(Diagnostic::error(
                 code,
                 &a.subject,
-                format!(
-                    "seq {}: {verb} dropped at boot replay: {}",
-                    refusal.seq, refusal.error
-                ),
+                format!("seq {}: {verb} dropped at boot replay: {error}", rec.seq),
             ));
         }
         last_subject = Some(a.subject.clone());
@@ -487,8 +307,8 @@ fn fold_delta_journals(
             format!(
                 "delta stream ends with an open gap: seq {missing} never arrived, \
                  leaving the platform {} update(s) behind (applied through {})",
-                fold.lag(),
-                fold.applied_seq()
+                fold.staleness().lag,
+                fold.staleness().applied_seq
             ),
         ));
     }
@@ -498,7 +318,7 @@ fn fold_delta_journals(
 fn lint_spec_corpus(
     artifacts: &[Artifact],
     base_platform: &Platform,
-    fold: &StaticFold,
+    fold: &DeltaSequencer,
 ) -> Vec<Diagnostic> {
     let specs: Vec<&Artifact> = artifacts
         .iter()
@@ -513,7 +333,7 @@ fn lint_spec_corpus(
         .collect();
     let base = analyze(&inputs, Some(base_platform));
     let mut out = base.diagnostics.clone();
-    if fold.applied_seq() == 0 {
+    if fold.staleness().applied_seq == 0 {
         return out; // no delta stream moved the platform
     }
     let folded_platform = fold.platform();

@@ -36,7 +36,7 @@ pub mod specfile;
 pub mod xlang;
 
 pub use artifact_lints::{classify, Artifact, ArtifactKind};
-pub use audit::{audit_tree, serve_engine_fingerprint, FoldOutcome, StaticFold};
+pub use audit::{audit_tree, serve_engine_fingerprint};
 pub use dag_lints::lint_dag;
 pub use delta::{code_for, lint_delta_batch, DeltaCode, DeltaDiagnostic};
 pub use diag::{AnalysisReport, Code, Diagnostic, Severity};

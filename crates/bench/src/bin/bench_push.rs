@@ -161,7 +161,7 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
     let jpath = dir.join("deltas.journal");
     let fp = engine(quick).fingerprint();
     {
-        let j = DeltaJournal::open(&jpath, fp).expect("journal");
+        let j = DeltaJournal::open(&jpath, fp, ()).expect("journal");
         for rec in &delivery {
             j.append(rec).expect("append");
         }
@@ -177,16 +177,14 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
     // damaged record is untrusted) — the replayed prefix leaves the
     // engine lagging, which is exactly the quarantine-and-resync
     // contract: idempotent redelivery of the stream closes the gap.
-    let j = DeltaJournal::open(&jpath, fp).expect("reopen");
-    let recovered: Vec<DeltaRecord> = j.recovered().to_vec();
+    let j = DeltaJournal::open(&jpath, fp, ()).expect("reopen");
     assert!(
-        recovered.len() < delivery.len(),
+        j.recovered().len() < delivery.len(),
         "the corrupt record should have truncated the replay"
     );
     let mut eng = engine(quick);
-    for chunk in recovered.chunks(5) {
-        eng.submit_batch(chunk).expect("replay chunk");
-    }
+    let (_, refused) = eng.replay(j.recovered());
+    assert!(refused.is_empty(), "boot replay refused {refused:?}");
     for chunk in delivery.chunks(5) {
         let out = eng.submit_batch(chunk).expect("resync chunk");
         for rec in chunk {

@@ -13,7 +13,7 @@
 //! requests, smaller levels); both modes sweep at least three levels.
 //!
 //! `--chaos` switches to the seeded socket-level fault-injection
-//! harness ([`rsg_serve::chaostcp`]) instead of the load sweep:
+//! harness ([`rsg_bench::chaostcp`]) instead of the load sweep:
 //!
 //! ```text
 //! bench_serve --chaos [--seed N] [--deadline-s S]
@@ -408,14 +408,14 @@ fn chaos_main() -> i32 {
         }
     };
 
-    let chaos_cfg = rsg_serve::ChaosConfig {
+    let chaos_cfg = rsg_bench::chaostcp::ChaosConfig {
         seed,
         deadline_hint_s: deadline_s,
         read_timeout_s: 15.0,
         connections_per_fault: 3,
     };
     eprintln!("bench_serve --chaos: seed {seed}, target {addr}, deadline hint {deadline_s}s");
-    let report = match rsg_serve::chaostcp::run_chaos(addr, &chaos_cfg) {
+    let report = match rsg_bench::chaostcp::run_chaos(addr, &chaos_cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bench_serve --chaos: {e}");

@@ -1,8 +1,8 @@
 //! Socket-level chaos harness: deterministic, seeded fault injection
 //! against a *real* running daemon.
 //!
-//! PR 3 gave the scheduler a fault model; this module gives the
-//! serving stack one. Each scenario opens raw TCP connections to the
+//! The scheduler has a fault model (`rsg_sched::fault`); this module
+//! gives the serving stack one. Each scenario opens raw TCP connections to the
 //! target and misbehaves in a specific way — dripping header bytes
 //! slowloris-style, tearing writes at seeded offsets, closing mid-body,
 //! sending garbage prefixes, flooding headers, declaring absurd
@@ -429,7 +429,7 @@ fn mid_body_close(
     }
 }
 
-/// More header lines than [`crate::http::MAX_HEADER_COUNT`]: must be
+/// More header lines than [`rsg_serve::http::MAX_HEADER_COUNT`]: must be
 /// 431 (or a close if the daemon hangs up first).
 fn header_flood(
     addr: SocketAddr,
@@ -442,7 +442,7 @@ fn header_flood(
             failures.push(format!("header-flood#{attempt}: connect failed"));
             continue;
         };
-        let lines = crate::http::MAX_HEADER_COUNT + 1 + rng.below(64);
+        let lines = rsg_serve::http::MAX_HEADER_COUNT + 1 + rng.below(64);
         let mut raw = String::from("GET /healthz HTTP/1.1\r\n");
         for i in 0..lines {
             raw.push_str(&format!("X-Flood-{i}: {}\r\n", rng.next()));
@@ -462,7 +462,7 @@ fn header_flood(
     }
 }
 
-/// One header larger than [`crate::http::MAX_HEADER_BYTES`]: 431.
+/// One header larger than [`rsg_serve::http::MAX_HEADER_BYTES`]: 431.
 fn oversized_header(
     addr: SocketAddr,
     cfg: &ChaosConfig,
@@ -474,7 +474,7 @@ fn oversized_header(
             failures.push(format!("oversized-header#{attempt}: connect failed"));
             continue;
         };
-        let pad = crate::http::MAX_HEADER_BYTES + 1024 + rng.below(4096);
+        let pad = rsg_serve::http::MAX_HEADER_BYTES + 1024 + rng.below(4096);
         let raw = format!(
             "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
             "a".repeat(pad)
@@ -598,13 +598,6 @@ fn slowloris_drip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::ModelRegistry;
-    use crate::server::{ServeConfig, Server};
-    use rsg_core::curve::CurveConfig;
-    use rsg_core::heurmodel::HeuristicPredictionModel;
-    use rsg_core::observation::{measure, ObservationGrid};
-    use rsg_core::ThresholdedSizeModel;
-    use rsg_sched::HeuristicKind;
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -628,36 +621,5 @@ mod tests {
             Reply::Status(408)
         );
         assert_eq!(parse_status(b"not http"), Reply::Closed);
-    }
-
-    #[test]
-    fn full_chaos_run_against_a_live_daemon_passes() {
-        let tables = measure(
-            &ObservationGrid::tiny(),
-            &CurveConfig::default(),
-            &rsg_core::THRESHOLD_LADDER,
-            0,
-        );
-        let registry = ModelRegistry::from_models(
-            ThresholdedSizeModel::fit(&tables),
-            HeuristicPredictionModel::fixed(HeuristicKind::Mcp),
-        );
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            // Short deadline so the slowloris scenario resolves fast.
-            default_deadline_s: 1.0,
-            ..ServeConfig::default()
-        };
-        let server = Server::spawn(&cfg, registry).unwrap();
-        let chaos = ChaosConfig {
-            seed: 7,
-            deadline_hint_s: 1.0,
-            read_timeout_s: 10.0,
-            connections_per_fault: 2,
-        };
-        let report = run_chaos(server.addr(), &chaos).expect("daemon reachable");
-        assert!(report.passed(), "chaos report:\n{}", report.render());
-        assert_eq!(report.outcomes.len(), 9, "all scenarios ran");
     }
 }

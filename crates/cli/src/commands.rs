@@ -670,30 +670,16 @@ fn shard_siblings(path: &str) -> Vec<String> {
 fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
     let p = std::path::Path::new(path);
     let text = std::fs::read_to_string(p).map_err(|e| rsg_core::StoreError::io(p, "read", &e))?;
-    if text.starts_with("rsg-sweep-journal\t") {
-        let (fp, thetas, good, bad) = rsg_core::SweepJournal::verify(p)?;
-        if bad > 0 {
-            return Err(rsg_core::StoreError::parse(
-                "sweep-journal",
-                good + 2,
-                format!("{bad} damaged line(s) after {good} good cells"),
-            ));
-        }
+    if rsg_core::SweepJournal::sniff(&text) {
+        let (fp, thetas, cells) = verify_journal::<rsg_core::store::SweepCell>(p)?;
         return Ok(format!(
-            "sweep journal, fingerprint {fp:016x}, {good} cells x {thetas} thetas"
+            "sweep journal, fingerprint {fp:016x}, {cells} cells x {thetas} thetas"
         ));
     }
-    if text.starts_with("rsg-delta-journal\t") {
-        let (fp, good, bad) = rsg_core::DeltaJournal::verify(p)?;
-        if bad > 0 {
-            return Err(rsg_core::StoreError::parse(
-                "delta-journal",
-                good + 2,
-                format!("{bad} damaged record(s) after {good} good deltas"),
-            ));
-        }
+    if rsg_core::DeltaJournal::sniff(&text) {
+        let (fp, (), deltas) = verify_journal::<rsg_core::DeltaRecord>(p)?;
         return Ok(format!(
-            "delta journal, fingerprint {fp:016x}, {good} deltas"
+            "delta journal, fingerprint {fp:016x}, {deltas} deltas"
         ));
     }
     let (kind, payload) = rsg_core::store::unwrap_envelope(&text).map_err(|e| e.with_path(p))?;
@@ -701,6 +687,22 @@ fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
         "artifact '{kind}', {} payload bytes, checksum verified",
         payload.len()
     ))
+}
+
+/// A journal's fingerprint, shape and intact record count; a torn tail
+/// is a decode error naming the first damaged line.
+fn verify_journal<R: rsg_core::store::JournalRecord>(
+    p: &std::path::Path,
+) -> Result<(u64, R::Shape, usize), rsg_core::StoreError> {
+    let (fp, shape, good, bad) = rsg_core::store::RecordJournal::<R>::verify(p)?;
+    if bad > 0 {
+        return Err(rsg_core::StoreError::parse(
+            R::MAGIC.trim_start_matches("rsg-"),
+            good + 2,
+            format!("{bad} damaged line(s) after {good} intact records"),
+        ));
+    }
+    Ok((fp, shape, good))
 }
 
 /// `rsg lint FILE... [--format human|json|tsv] [--platform]` — static

@@ -98,7 +98,7 @@ impl From<rsg_core::StoreError> for CliError {
             S::BadMagic { .. } | S::Version { .. } | S::Truncated { .. } | S::Checksum { .. } => {
                 CliError::Corrupt(msg)
             }
-            S::Kind { .. } | S::Parse { .. } | S::Fingerprint { .. } => CliError::Decode(msg),
+            S::Kind { .. } | S::Parse { .. } => CliError::Decode(msg),
             S::Aborted { .. } => CliError::Failed(msg),
         }
     }
@@ -583,7 +583,7 @@ mod tests {
 
         // A delta journal verifies by magic, reporting its record count.
         let dj = dir.join("deltas.journal");
-        let j = DeltaJournal::open(&dj, 0xdead_beef).unwrap();
+        let j = DeltaJournal::open(&dj, 0xdead_beef, ()).unwrap();
         for seq in 1..=3u64 {
             j.append(&DeltaRecord {
                 seq,

@@ -8,7 +8,7 @@
 
 use crate::curve::{mean_turnaround_reference, size_ladder, Curve, CurveConfig};
 use crate::knee::{find_knee, refine_knee};
-use crate::store::{fnv1a, StoreError, SweepJournal};
+use crate::store::{fnv1a, StoreError, SweepCell, SweepJournal};
 use rayon::prelude::*;
 use rsg_dag::{Dag, RandomDagSpec};
 use rsg_obs::Counter;
@@ -27,6 +27,10 @@ static OBS_REFINE_EVALS: Counter = Counter::new("core.sweep.refine_evals");
 static OBS_MEMO_HITS: Counter = Counter::new("core.sweep.memo_hits");
 /// Cells computed by sharded sweep workers ([`measure_shard`]).
 static OBS_SHARD_CELLS: Counter = Counter::new("core.sweep.shard_cells");
+/// Sweep cells restored from a journal instead of being recomputed.
+static OBS_CELLS_RESUMED: Counter = Counter::new("core.store.cells_resumed");
+/// Cells appended to a checkpoint journal.
+static OBS_CELLS_CHECKPOINTED: Counter = Counter::new("core.store.cells_checkpointed");
 
 /// The observation-grid axes (Table V-1) and instance count.
 #[derive(Debug, Clone, PartialEq)]
@@ -603,22 +607,52 @@ pub fn measure_checkpointed(
     checkpoint: &CheckpointConfig,
 ) -> Result<(Vec<KneeTable>, CheckpointStats), StoreError> {
     let _sweep = rsg_obs::span("sweep_checkpointed");
+    let (inp, per_cell, stats) =
+        checkpoint_cells(grid, cfg, thetas, refine_rounds, checkpoint, None)?;
+    Ok((assemble_tables(grid, &inp.cells, &per_cell, thetas), stats))
+}
 
+/// The resume-and-checkpoint loop of [`measure_checkpointed`] and
+/// [`measure_shard`]: opens (replays) the journal of `shard` (the whole
+/// sweep when `None`), then computes the shard's cells the journal is
+/// missing — at most `checkpoint.cell_budget` of them — journaling
+/// each as it lands. Returns the inputs, every cell's knees by grid
+/// index (empty for another shard's cells the journal does not hold),
+/// and the call's accounting; a budget-cut run aborts with counts
+/// relative to the shard's own cells.
+fn checkpoint_cells(
+    grid: &ObservationGrid,
+    cfg: &CurveConfig,
+    thetas: &[f64],
+    refine_rounds: u32,
+    checkpoint: &CheckpointConfig,
+    shard: Option<ShardSpec>,
+) -> Result<(SweepInputs, Vec<Vec<f64>>, CheckpointStats), StoreError> {
     // Open (replay) the journal first: a stale fingerprint quarantines
     // it before any compute is spent.
     let journal = SweepJournal::open(
-        &checkpoint.journal_path,
+        &shard.map_or_else(
+            || checkpoint.journal_path.clone(),
+            |s| shard_journal_path(&checkpoint.journal_path, s),
+        ),
         sweep_fingerprint(grid, cfg, thetas, refine_rounds),
         thetas.len(),
     )?;
 
     let inp = prepare(grid, cfg);
+    let mut per_cell = journaled_cells(&journal, inp.cells.len());
+    let resumed = per_cell.iter().flatten().count();
+    OBS_CELLS_RESUMED.add(resumed as u64);
 
-    // Cells missing from the journal, in sweep order, bounded by the
-    // abort budget when one is injected.
-    let done = journal.completed();
-    let mut todo: Vec<usize> = (0..inp.cells.len())
-        .filter(|c| !done.contains_key(c))
+    // The shard's cells missing from the journal, in sweep order,
+    // bounded by the abort budget when one is injected.
+    let owned: Vec<usize> = (0..inp.cells.len())
+        .filter(|c| shard.is_none_or(|s| c % s.count == s.index))
+        .collect();
+    let total = owned.len();
+    let mut todo: Vec<usize> = owned
+        .into_iter()
+        .filter(|&c| per_cell[c].is_none())
         .collect();
     let truncated = match checkpoint.cell_budget {
         Some(budget) if budget < todo.len() => {
@@ -635,33 +669,50 @@ pub fn measure_checkpointed(
         .par_iter()
         .map(|&c| {
             let (knees, ladder_evals) = compute_cell(&inp, cfg, thetas, refine_rounds, c);
-            journal.append(c, &knees)?;
-            Ok((c, knees, ladder_evals))
+            let cell = SweepCell { idx: c, knees };
+            journal.append(&cell)?;
+            OBS_CELLS_CHECKPOINTED.incr();
+            if shard.is_some() {
+                OBS_SHARD_CELLS.incr();
+            }
+            Ok((cell, ladder_evals))
         })
         .collect();
     drop(eval_span);
-    let computed: Vec<(usize, Vec<f64>, u64)> = computed.into_iter().collect::<Result<_, _>>()?;
+    let computed: Vec<(SweepCell, u64)> = computed.into_iter().collect::<Result<_, _>>()?;
 
     if truncated {
         return Err(StoreError::Aborted {
-            completed: done.len() + computed.len(),
-            total: inp.cells.len(),
+            completed: resumed + computed.len(),
+            total,
         });
     }
 
-    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); inp.cells.len()];
-    for (&c, knees) in done {
-        per_cell[c] = knees.clone();
-    }
     let stats = CheckpointStats {
-        resumed: done.len(),
+        resumed,
         checkpointed: journal.appended(),
-        ladder_evals: computed.iter().map(|&(_, _, n)| n).sum(),
+        ladder_evals: computed.iter().map(|&(_, n)| n).sum(),
     };
-    for (c, knees, _) in computed {
-        per_cell[c] = knees;
+    for (cell, _) in computed {
+        per_cell[cell.idx] = Some(cell.knees);
     }
-    Ok((assemble_tables(grid, &inp.cells, &per_cell, thetas), stats))
+    let per_cell = per_cell
+        .into_iter()
+        .map(Option::unwrap_or_default)
+        .collect();
+    Ok((inp, per_cell, stats))
+}
+
+/// The cells a sweep journal recovered, by grid index (a later record
+/// for the same cell wins; indices outside the grid are ignored).
+fn journaled_cells(journal: &SweepJournal, ncells: usize) -> Vec<Option<Vec<f64>>> {
+    let mut cells = vec![None; ncells];
+    for cell in journal.recovered() {
+        if let Some(slot) = cells.get_mut(cell.idx) {
+            *slot = Some(cell.knees.clone());
+        }
+    }
+    cells
 }
 
 /// One worker's slice of a sharded sweep: shard `index` of `count`.
@@ -716,47 +767,9 @@ pub fn measure_shard(
         shard.count
     );
     let _sweep = rsg_obs::span("sweep_shard");
-    let journal = SweepJournal::open(
-        &shard_journal_path(&checkpoint.journal_path, shard),
-        sweep_fingerprint(grid, cfg, thetas, refine_rounds),
-        thetas.len(),
-    )?;
-
-    let inp = prepare(grid, cfg);
-    let done = journal.completed();
-    let mine: Vec<usize> = (0..inp.cells.len())
-        .filter(|c| c % shard.count == shard.index)
-        .collect();
-    let shard_total = mine.len();
-    let mut todo: Vec<usize> = mine.into_iter().filter(|c| !done.contains_key(c)).collect();
-    let truncated = match checkpoint.cell_budget {
-        Some(budget) if budget < todo.len() => {
-            todo.truncate(budget);
-            true
-        }
-        _ => false,
-    };
-
-    let eval_span = rsg_obs::span("evaluate");
-    let computed: Vec<Result<usize, StoreError>> = todo
-        .par_iter()
-        .map(|&c| {
-            let (knees, _) = compute_cell(&inp, cfg, thetas, refine_rounds, c);
-            journal.append(c, &knees)?;
-            Ok(c)
-        })
-        .collect();
-    drop(eval_span);
-    let computed = computed.into_iter().collect::<Result<Vec<_>, _>>()?;
-    OBS_SHARD_CELLS.add(computed.len() as u64);
-
-    if truncated {
-        return Err(StoreError::Aborted {
-            completed: done.len() + computed.len(),
-            total: shard_total,
-        });
-    }
-    Ok(computed.len())
+    let (_, _, stats) =
+        checkpoint_cells(grid, cfg, thetas, refine_rounds, checkpoint, Some(shard))?;
+    Ok(stats.checkpointed)
 }
 
 /// Merges the `count` shard journals of a sharded sweep into knee
@@ -782,10 +795,13 @@ pub fn merge_shards(
     for index in 0..count {
         let path = shard_journal_path(base, ShardSpec { index, count });
         let journal = SweepJournal::open(&path, fp, thetas.len())?;
-        for (&c, knees) in journal.completed() {
-            if c < per_cell.len() && per_cell[c].is_none() {
+        for (slot, knees) in per_cell
+            .iter_mut()
+            .zip(journaled_cells(&journal, cells.len()))
+        {
+            if slot.is_none() && knees.is_some() {
                 found += 1;
-                per_cell[c] = Some(knees.clone());
+                *slot = knees;
             }
         }
     }

@@ -24,24 +24,43 @@
 //!
 //! # Journal format
 //!
-//! The sweep checkpoint journal (see
+//! [`RecordJournal`] is the one append-only journal discipline; a
+//! [`JournalRecord`] type supplies only its magic, its extra header
+//! fields and its line codec. Every line carries the FNV-1a checksum of
+//! its own body:
+//!
+//! ```text
+//! <magic><TAB>v1<TAB><fingerprint-hex>[<TAB><shape>...]
+//! <record body><TAB><fnv64-hex-of-body>
+//! ```
+//!
+//! Two record types exist. The sweep checkpoint journal ([`SweepJournal`],
+//! see
 //! [`observation::measure_checkpointed`](crate::observation::measure_checkpointed))
-//! is append-only, one self-checksummed line per completed grid cell:
+//! holds one line per completed grid cell:
 //!
 //! ```text
 //! rsg-sweep-journal<TAB>v1<TAB><fingerprint-hex><TAB><thetas>
 //! cell<TAB><idx><TAB><knee0><TAB>...<TAB><fnv64-hex-of-prefix>
 //! ```
 //!
+//! The delta journal ([`DeltaJournal`](crate::push::DeltaJournal)) holds one
+//! sequenced platform delta per line:
+//!
+//! ```text
+//! rsg-delta-journal<TAB>v1<TAB><fingerprint-hex>
+//! delta<TAB><seq><TAB><delta-tsv...><TAB><fnv64-hex-of-prefix>
+//! ```
+//!
 //! A torn tail (the line being appended when the process died) fails
 //! its line checksum; replay truncates the journal back to the last
-//! good line and the sweep recomputes only what is missing. A header
+//! good line and the reader redoes only what is missing. A header
 //! whose fingerprint does not match the current configuration moves the
 //! whole journal aside (`*.corrupt`) and starts fresh.
 
 use rsg_obs::{Counter, TimingHistogram};
-use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,12 +80,8 @@ static OBS_FSYNCS: Counter = Counter::new("core.store.fsyncs");
 static OBS_CHECKSUM_FAILURES: Counter = Counter::new("core.store.checksum_failures");
 /// Artifacts moved aside to `*.corrupt`.
 static OBS_QUARANTINED: Counter = Counter::new("core.store.quarantined");
-/// Journal replays that recovered at least one completed cell.
+/// Journal replays that recovered at least one record.
 static OBS_JOURNAL_REPLAYS: Counter = Counter::new("core.store.journal_replays");
-/// Sweep cells restored from a journal instead of being recomputed.
-static OBS_CELLS_RESUMED: Counter = Counter::new("core.store.cells_resumed");
-/// Cells appended to a checkpoint journal.
-static OBS_CELLS_CHECKPOINTED: Counter = Counter::new("core.store.cells_checkpointed");
 /// Wall-clock of atomic artifact writes (write + fsync + rename).
 static OBS_WRITE_TIME: TimingHistogram = TimingHistogram::new("core.store.write_ns");
 
@@ -133,16 +148,6 @@ pub enum StoreError {
         line: usize,
         /// What went wrong.
         msg: String,
-    },
-    /// A journal was written under a different configuration
-    /// fingerprint than the current run's.
-    Fingerprint {
-        /// Journal file.
-        path: String,
-        /// Fingerprint of the current configuration.
-        expected: u64,
-        /// Fingerprint recorded in the journal header.
-        found: u64,
     },
     /// A checkpointed sweep stopped early (injected cell budget); the
     /// journal holds everything completed so far and a restart resumes.
@@ -302,15 +307,6 @@ impl fmt::Display for StoreError {
                 line,
                 msg,
             } => write!(f, "{artifact} decode error at line {line}: {msg}"),
-            StoreError::Fingerprint {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "journal {path} was written under configuration {found:016x}, \
-                 current is {expected:016x}",
-            ),
             StoreError::Aborted { completed, total } => write!(
                 f,
                 "sweep aborted by cell budget: {completed}/{total} cells journaled"
@@ -508,14 +504,15 @@ pub fn load_or_rebuild<T>(
     value
 }
 
-/// What a [`SweepJournal::open`] replay found on disk.
+/// What a [`RecordJournal::open`] replay found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalRecovery {
     /// No journal existed; a fresh one was created.
     Fresh,
-    /// The journal matched and `cells` completed cells were recovered.
+    /// The header matched and `cells` intact records were recovered
+    /// (zero for a header-only journal, which resumes as it is).
     Resumed {
-        /// Cells recovered from the journal.
+        /// Records recovered from the journal.
         cells: usize,
     },
     /// The journal belonged to a different configuration (or was
@@ -524,283 +521,317 @@ pub enum JournalRecovery {
     Quarantined,
 }
 
-/// An append-only, self-checksummed record of completed sweep cells.
+/// One record type of a [`RecordJournal`]: its on-disk magic, the
+/// header fields its records are checked against, and its line codec.
+/// The header, checksums, torn-tail truncation, quarantine and
+/// verification belong to the journal and are written once.
+pub trait JournalRecord: Sized {
+    /// First header field, naming the journal kind on disk.
+    const MAGIC: &'static str;
+    /// Header fields after the fingerprint that every record is decoded
+    /// against (the sweep journal's theta count; `()` for none).
+    type Shape: Copy + PartialEq;
+    /// Appends the shape's header fields, each with its leading tab.
+    fn write_shape(shape: Self::Shape, header: &mut String);
+    /// Parses the header fields after the fingerprint.
+    fn read_shape(fields: &[&str]) -> Result<Self::Shape, &'static str>;
+    /// Appends the record's line body (no checksum, no newline).
+    fn encode(&self, line: &mut String);
+    /// Decodes a line body whose checksum has already verified.
+    fn decode(line: &str, shape: Self::Shape) -> Option<Self>;
+}
+
+/// A journal file decoded read-only by [`RecordJournal::read`].
+pub struct JournalContents<R: JournalRecord> {
+    /// Configuration fingerprint recorded in the header.
+    pub fingerprint: u64,
+    /// Header fields after the fingerprint.
+    pub shape: R::Shape,
+    /// Every intact record before the first damaged line, in file order
+    /// (duplicates and reorderings included — the reader owns those).
+    pub records: Vec<R>,
+    /// Non-blank lines from the first damaged one on: a torn tail that
+    /// [`RecordJournal::open`] would truncate.
+    pub damaged: usize,
+    /// Byte length of the header plus the intact records.
+    valid_len: usize,
+}
+
+/// An append-only journal of self-checksummed records, one per line
+/// under a `<magic>\tv1\t<fingerprint>[\t<shape>...]` header (see the
+/// module docs for the format).
 ///
-/// Thread-safe: [`append`](SweepJournal::append) serializes through an
-/// internal mutex so rayon workers can checkpoint concurrently.
+/// Thread-safe: appends serialize through an internal mutex so rayon
+/// workers can checkpoint concurrently.
 #[derive(Debug)]
-pub struct SweepJournal {
+pub struct RecordJournal<R> {
     path: PathBuf,
-    completed: HashMap<usize, Vec<f64>>,
+    recovered: Vec<R>,
     recovery: JournalRecovery,
     file: Mutex<File>,
     appended: AtomicUsize,
 }
 
-impl SweepJournal {
-    /// Opens (or creates) the journal at `path` for a sweep whose
-    /// configuration digests to `fingerprint` and measures
-    /// `thetas_len` thresholds per cell.
+impl<R: JournalRecord> RecordJournal<R> {
+    /// Whether `text` starts with this journal kind's header.
+    pub fn sniff(text: &str) -> bool {
+        text.strip_prefix(R::MAGIC)
+            .is_some_and(|rest| rest.starts_with('\t'))
+    }
+
+    /// Opens (or creates) the journal at `path` for a configuration
+    /// that digests to `fingerprint`, holding records of `shape`.
     ///
     /// Replay rules:
-    /// * matching header → every line whose checksum and shape verify
-    ///   is recovered; the first damaged line (a torn append) truncates
-    ///   the journal back to the last good line;
+    /// * matching header → every intact record is recovered in file
+    ///   order; the first damaged line (a torn append) and everything
+    ///   after it is truncated away. A header-only journal resumes with
+    ///   zero records;
     /// * mismatched or damaged header → the whole file is quarantined
-    ///   to `*.corrupt` and a fresh journal starts.
-    pub fn open(
-        path: &Path,
-        fingerprint: u64,
-        thetas_len: usize,
-    ) -> Result<SweepJournal, StoreError> {
-        let mut completed = HashMap::new();
-        let mut recovery = JournalRecovery::Fresh;
-        let mut good_bytes = 0usize;
-
-        match std::fs::read_to_string(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+    ///   to `*.corrupt` and a fresh journal starts;
+    /// * no file → a fresh journal starts.
+    pub fn open(path: &Path, fingerprint: u64, shape: R::Shape) -> Result<Self, StoreError> {
+        let found = match std::fs::read_to_string(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(StoreError::io(path, "read", &e)),
-            Ok(text) => match Self::replay(&text, fingerprint, thetas_len) {
-                Ok((cells, valid_len)) => {
-                    good_bytes = valid_len;
-                    if !cells.is_empty() {
-                        OBS_JOURNAL_REPLAYS.incr();
-                        OBS_CELLS_RESUMED.add(cells.len() as u64);
-                        recovery = JournalRecovery::Resumed { cells: cells.len() };
-                    }
-                    completed = cells;
+            Ok(text) => Some(Self::parse(&text)),
+        };
+        let (file, recovered, recovery) = match found {
+            Some(Ok(c)) if c.fingerprint == fingerprint && c.shape == shape => {
+                if c.damaged > 0 {
+                    OBS_CHECKSUM_FAILURES.incr();
                 }
-                Err(_) => {
-                    quarantine(path);
-                    recovery = JournalRecovery::Quarantined;
+                if !c.records.is_empty() {
+                    OBS_JOURNAL_REPLAYS.incr();
                 }
-            },
-        }
-
-        if recovery == JournalRecovery::Fresh || recovery == JournalRecovery::Quarantined {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| StoreError::io(path, "create parent of", &e))?;
+                // Truncate any torn tail, then reopen for appending.
+                OpenOptions::new()
+                    .write(true)
+                    .open(path)
+                    .and_then(|f| f.set_len(c.valid_len as u64))
+                    .map_err(|e| StoreError::io(path, "truncate", &e))?;
+                let file = OpenOptions::new()
+                    .append(true)
+                    .open(path)
+                    .map_err(|e| StoreError::io(path, "open", &e))?;
+                let recovery = JournalRecovery::Resumed {
+                    cells: c.records.len(),
+                };
+                (file, c.records, recovery)
             }
-            let mut f = File::create(path).map_err(|e| StoreError::io(path, "create", &e))?;
-            f.write_all(Self::header(fingerprint, thetas_len).as_bytes())
-                .map_err(|e| StoreError::io(path, "write", &e))?;
-            f.sync_all()
-                .map_err(|e| StoreError::io(path, "fsync", &e))?;
-            OBS_FSYNCS.incr();
-            return Ok(SweepJournal {
-                path: path.to_path_buf(),
-                completed,
-                recovery,
-                file: Mutex::new(f),
-                appended: AtomicUsize::new(0),
-            });
-        }
-
-        // Truncate any torn tail, then reopen for appending.
-        let f = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        f.set_len(good_bytes as u64)
-            .map_err(|e| StoreError::io(path, "truncate", &e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        Ok(SweepJournal {
+            found => {
+                let recovery = if found.is_some() {
+                    quarantine(path);
+                    JournalRecovery::Quarantined
+                } else {
+                    JournalRecovery::Fresh
+                };
+                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    std::fs::create_dir_all(dir)
+                        .map_err(|e| StoreError::io(path, "create parent of", &e))?;
+                }
+                let mut header = format!("{}\t{JOURNAL_VERSION}\t{fingerprint:016x}", R::MAGIC);
+                R::write_shape(shape, &mut header);
+                header.push('\n');
+                let mut f = File::create(path).map_err(|e| StoreError::io(path, "create", &e))?;
+                f.write_all(header.as_bytes())
+                    .map_err(|e| StoreError::io(path, "write", &e))?;
+                f.sync_all()
+                    .map_err(|e| StoreError::io(path, "fsync", &e))?;
+                OBS_FSYNCS.incr();
+                (f, Vec::new(), recovery)
+            }
+        };
+        Ok(RecordJournal {
             path: path.to_path_buf(),
-            completed,
+            recovered,
             recovery,
             file: Mutex::new(file),
             appended: AtomicUsize::new(0),
         })
     }
 
-    fn header(fingerprint: u64, thetas_len: usize) -> String {
-        format!("rsg-sweep-journal\t{JOURNAL_VERSION}\t{fingerprint:016x}\t{thetas_len}\n")
-    }
-
-    /// Parses journal text; returns the recovered cells and the byte
-    /// length of the valid prefix (header + good lines). A damaged
-    /// *header* is an error (quarantine); a damaged *line* merely ends
-    /// the valid prefix (torn append).
-    fn replay(
-        text: &str,
-        fingerprint: u64,
-        thetas_len: usize,
-    ) -> Result<(HashMap<usize, Vec<f64>>, usize), StoreError> {
-        let (header, _) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
+    /// Decodes journal text. A damaged *header* is an error (the caller
+    /// quarantines); a damaged *line* merely ends the intact prefix.
+    fn parse(text: &str) -> Result<JournalContents<R>, StoreError> {
+        let bad_magic = |found: &str| StoreError::BadMagic {
             path: String::new(),
-            found: text.chars().take(40).collect(),
-        })?;
+            found: found.chars().take(40).collect(),
+        };
+        let (header, body) = text.split_once('\n').ok_or_else(|| bad_magic(text))?;
         let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&"rsg-sweep-journal") {
-            return Err(StoreError::BadMagic {
-                path: String::new(),
-                found: header.chars().take(40).collect(),
-            });
+        if fields[0] != R::MAGIC {
+            return Err(bad_magic(header));
         }
-        if fields.get(1) != Some(&JOURNAL_VERSION) {
+        let version = fields.get(1).copied().unwrap_or_default();
+        if version != JOURNAL_VERSION {
             return Err(StoreError::Version {
                 path: String::new(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
+                found: version.to_string(),
             });
         }
-        let found_fp = fields
+        let artifact = R::MAGIC.trim_start_matches("rsg-");
+        let fingerprint = fields
             .get(2)
             .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| StoreError::parse("sweep-journal", 1, "bad fingerprint field"))?;
-        if found_fp != fingerprint {
-            return Err(StoreError::Fingerprint {
-                path: String::new(),
-                expected: fingerprint,
-                found: found_fp,
-            });
-        }
-        let found_thetas: usize = fields
-            .get(3)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| StoreError::parse("sweep-journal", 1, "bad theta-count field"))?;
-        if found_thetas != thetas_len {
-            return Err(StoreError::parse(
-                "sweep-journal",
-                1,
-                format!("journal holds {found_thetas} thetas per cell, sweep wants {thetas_len}"),
-            ));
-        }
+            .ok_or_else(|| StoreError::parse(artifact, 1, "bad fingerprint field"))?;
+        let shape =
+            R::read_shape(&fields[3..]).map_err(|msg| StoreError::parse(artifact, 1, msg))?;
 
-        let mut completed = HashMap::new();
-        let mut good = header.len() + 1;
-        for line in text[good..].split_inclusive('\n') {
-            let body = line.strip_suffix('\n');
-            match body.and_then(|b| Self::parse_line(b, thetas_len)) {
-                Some((idx, knees)) => {
-                    completed.insert(idx, knees);
-                    good += line.len();
-                }
-                None => {
-                    // Torn or damaged tail: stop here; everything after
-                    // the last good line is recomputed.
-                    OBS_CHECKSUM_FAILURES.incr();
-                    break;
-                }
-            }
+        let mut records = Vec::new();
+        let mut valid_len = header.len() + 1;
+        for line in body.split_inclusive('\n') {
+            let Some(rec) = line
+                .strip_suffix('\n')
+                .and_then(|l| Self::decode_line(l, shape))
+            else {
+                break; // torn or damaged tail
+            };
+            records.push(rec);
+            valid_len += line.len();
         }
-        Ok((completed, good))
+        let damaged = text[valid_len..]
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .count();
+        Ok(JournalContents {
+            fingerprint,
+            shape,
+            records,
+            damaged,
+            valid_len,
+        })
     }
 
-    /// Parses one `cell` line, verifying its trailing checksum and that
-    /// it carries exactly `thetas_len` knee values.
-    fn parse_line(line: &str, thetas_len: usize) -> Option<(usize, Vec<f64>)> {
-        let (prefix, sum) = line.rsplit_once('\t')?;
-        let expected = u64::from_str_radix(sum, 16).ok()?;
-        if fnv1a(prefix.as_bytes()) != expected {
+    /// Verifies one line's trailing checksum, then decodes its body.
+    fn decode_line(line: &str, shape: R::Shape) -> Option<R> {
+        let (body, sum) = line.rsplit_once('\t')?;
+        if u64::from_str_radix(sum, 16).ok()? != fnv1a(body.as_bytes()) {
             return None;
         }
-        let mut parts = prefix.split('\t');
-        if parts.next() != Some("cell") {
-            return None;
-        }
-        let idx: usize = parts.next()?.parse().ok()?;
-        let knees: Option<Vec<f64>> = parts.map(|s| s.parse().ok()).collect();
-        let knees = knees?;
-        if knees.len() != thetas_len {
-            return None;
-        }
-        Some((idx, knees))
+        R::decode(body, shape)
     }
 
-    /// The cells recovered by replay: grid cell index → per-theta
-    /// knees, exactly as they were measured before the interruption.
-    pub fn completed(&self) -> &HashMap<usize, Vec<f64>> {
-        &self.completed
+    /// Read-only decode of the journal at `path`: never truncates,
+    /// quarantines or creates anything. The caller decides what a
+    /// fingerprint mismatch means.
+    pub fn read(path: &Path) -> Result<JournalContents<R>, StoreError> {
+        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
+        Self::parse(&text).map_err(|e| e.with_path(path))
     }
 
-    /// What [`SweepJournal::open`] found on disk.
+    /// Read-only validation (`rsg store verify`): `(fingerprint, shape,
+    /// intact records, damaged tail lines)`.
+    pub fn verify(path: &Path) -> Result<(u64, R::Shape, usize, usize), StoreError> {
+        let c = Self::read(path)?;
+        Ok((c.fingerprint, c.shape, c.records.len(), c.damaged))
+    }
+
+    /// The records recovered by [`open`](Self::open), in file order.
+    pub fn recovered(&self) -> &[R] {
+        &self.recovered
+    }
+
+    /// What [`open`](Self::open) found on disk.
     pub fn recovery(&self) -> JournalRecovery {
         self.recovery
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Durably appends one completed cell (write + fsync under the
-    /// journal lock). Knees serialize in shortest-round-trip form, so a
-    /// replayed value is bit-identical to the measured one.
-    pub fn append(&self, idx: usize, knees: &[f64]) -> Result<(), StoreError> {
-        let mut prefix = format!("cell\t{idx}");
-        for k in knees {
-            prefix.push('\t');
-            prefix.push_str(&k.to_string());
-        }
-        let line = format!("{prefix}\t{:016x}\n", fnv1a(prefix.as_bytes()));
-        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        f.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, "append to", &e))?;
-        f.sync_data()
-            .map_err(|e| StoreError::io(&self.path, "fsync", &e))?;
-        OBS_FSYNCS.incr();
-        OBS_CELLS_CHECKPOINTED.incr();
-        self.appended.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// How many cells this handle has appended since it was opened.
+    /// How many records this handle has appended since it was opened.
     pub fn appended(&self) -> usize {
         self.appended.load(Ordering::Relaxed)
     }
 
-    /// Read-only validation of a journal file (used by `rsg store
-    /// verify`): checks magic, version and every line checksum without
-    /// truncating or quarantining anything. Returns `(fingerprint,
-    /// thetas per cell, valid cells, damaged tail lines)`.
-    pub fn verify(path: &Path) -> Result<(u64, usize, usize, usize), StoreError> {
-        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
-        let (header, rest) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
-            path: path.display().to_string(),
-            found: text.chars().take(40).collect(),
-        })?;
-        let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&"rsg-sweep-journal") {
-            return Err(StoreError::BadMagic {
-                path: path.display().to_string(),
-                found: header.chars().take(40).collect(),
-            });
+    /// Durably appends one record (a one-record [`append_batch`](Self::append_batch)).
+    pub fn append(&self, record: &R) -> Result<(), StoreError> {
+        self.append_batch(std::slice::from_ref(record))
+    }
+
+    /// Durably appends a batch as one write + one fsync under the
+    /// journal lock. On any error the file is truncated back to its
+    /// pre-append length (best effort), so the journal holds either the
+    /// whole batch or none of it.
+    pub fn append_batch(&self, records: &[R]) -> Result<(), StoreError> {
+        let mut buf = String::new();
+        for rec in records {
+            let start = buf.len();
+            rec.encode(&mut buf);
+            let sum = fnv1a(&buf.as_bytes()[start..]);
+            let _ = writeln!(buf, "\t{sum:016x}");
         }
-        if fields.get(1) != Some(&JOURNAL_VERSION) {
-            return Err(StoreError::Version {
-                path: path.display().to_string(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
+        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let rollback = f.metadata().map(|m| m.len()).ok();
+        let res = f
+            .write_all(buf.as_bytes())
+            .map_err(|e| StoreError::io(&self.path, "append to", &e))
+            .and_then(|()| {
+                f.sync_data()
+                    .map_err(|e| StoreError::io(&self.path, "fsync", &e))
             });
-        }
-        let fp = fields
-            .get(2)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| {
-                StoreError::parse("sweep-journal", 1, "bad fingerprint field").with_path(path)
-            })?;
-        let thetas: usize = fields.get(3).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            StoreError::parse("sweep-journal", 1, "bad theta-count field").with_path(path)
-        })?;
-        let mut good = 0usize;
-        let mut bad = 0usize;
-        for line in rest.split_inclusive('\n') {
-            let ok = line
-                .strip_suffix('\n')
-                .and_then(|b| Self::parse_line(b, thetas))
-                .is_some();
-            if ok && bad == 0 {
-                good += 1;
-            } else if !line.trim().is_empty() {
-                bad += 1;
+        match res {
+            Ok(()) => {
+                OBS_FSYNCS.incr();
+                self.appended.fetch_add(records.len(), Ordering::Relaxed);
+            }
+            Err(_) => {
+                if let Some(len) = rollback {
+                    let _ = f.set_len(len);
+                }
             }
         }
-        Ok((fp, thetas, good, bad))
+        res
     }
 }
+
+/// One completed sweep cell as the checkpoint journal records it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepCell {
+    /// Grid cell index.
+    pub idx: usize,
+    /// Knees, one per theta, exactly as measured.
+    pub knees: Vec<f64>,
+}
+
+impl JournalRecord for SweepCell {
+    const MAGIC: &'static str = "rsg-sweep-journal";
+    /// Knees per cell.
+    type Shape = usize;
+
+    fn write_shape(thetas: usize, header: &mut String) {
+        let _ = write!(header, "\t{thetas}");
+    }
+
+    fn read_shape(fields: &[&str]) -> Result<usize, &'static str> {
+        fields
+            .first()
+            .and_then(|s| s.parse().ok())
+            .ok_or("bad theta-count field")
+    }
+
+    /// Knees serialize in shortest-round-trip form, so a replayed value
+    /// is bit-identical to the measured one.
+    fn encode(&self, line: &mut String) {
+        let _ = write!(line, "cell\t{}", self.idx);
+        for k in &self.knees {
+            let _ = write!(line, "\t{k}");
+        }
+    }
+
+    fn decode(line: &str, thetas: usize) -> Option<SweepCell> {
+        let mut parts = line.split('\t');
+        if parts.next() != Some("cell") {
+            return None;
+        }
+        let idx = parts.next()?.parse().ok()?;
+        let knees: Vec<f64> = parts.map(|s| s.parse().ok()).collect::<Option<_>>()?;
+        (knees.len() == thetas).then_some(SweepCell { idx, knees })
+    }
+}
+
+/// The sweep checkpoint journal: one [`SweepCell`] per completed grid
+/// cell (see
+/// [`observation::measure_checkpointed`](crate::observation::measure_checkpointed)).
+pub type SweepJournal = RecordJournal<SweepCell>;
 
 #[cfg(test)]
 mod tests {
@@ -810,6 +841,13 @@ mod tests {
         let d = std::env::temp_dir().join(format!("rsg-store-{tag}-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&d);
         d
+    }
+
+    fn cell(idx: usize, knees: &[f64]) -> SweepCell {
+        SweepCell {
+            idx,
+            knees: knees.to_vec(),
+        }
     }
 
     #[test]
@@ -926,8 +964,8 @@ mod tests {
         {
             let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
             assert_eq!(j.recovery(), JournalRecovery::Fresh);
-            j.append(3, &[1.5, 2.5]).unwrap();
-            j.append(7, &[8.0, 16.0]).unwrap();
+            j.append(&cell(3, &[1.5, 2.5])).unwrap();
+            j.append(&cell(7, &[8.0, 16.0])).unwrap();
         }
         // Simulate a torn append: half a line at the tail.
         {
@@ -937,13 +975,15 @@ mod tests {
         }
         let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
         assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 2 });
-        assert_eq!(j.completed()[&3], vec![1.5, 2.5]);
-        assert_eq!(j.completed()[&7], vec![8.0, 16.0]);
+        assert_eq!(
+            j.recovered(),
+            &[cell(3, &[1.5, 2.5]), cell(7, &[8.0, 16.0])]
+        );
         // The torn bytes were truncated away; appending resumes cleanly.
-        j.append(9, &[4.0, 5.0]).unwrap();
+        j.append(&cell(9, &[4.0, 5.0])).unwrap();
         drop(j);
         let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
-        assert_eq!(j.completed().len(), 3);
+        assert_eq!(j.recovered().len(), 3);
         let (fp, thetas, good, bad) = SweepJournal::verify(&path).unwrap();
         assert_eq!((fp, thetas, good, bad), (0xABCD, 2, 3, 0));
     }
@@ -956,11 +996,11 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("sweep.journal.corrupt"));
         {
             let j = SweepJournal::open(&path, 1, 1).unwrap();
-            j.append(0, &[2.0]).unwrap();
+            j.append(&cell(0, &[2.0])).unwrap();
         }
         let j = SweepJournal::open(&path, 2, 1).unwrap();
         assert_eq!(j.recovery(), JournalRecovery::Quarantined);
-        assert!(j.completed().is_empty());
+        assert!(j.recovered().is_empty());
         assert!(dir.join("sweep.journal.corrupt").exists());
     }
 
@@ -971,7 +1011,7 @@ mod tests {
         std::fs::write(&path, "total garbage\nmore garbage\n").unwrap();
         let j = SweepJournal::open(&path, 5, 1).unwrap();
         assert_eq!(j.recovery(), JournalRecovery::Quarantined);
-        j.append(1, &[3.0]).unwrap();
+        j.append(&cell(1, &[3.0])).unwrap();
         drop(j);
         let j = SweepJournal::open(&path, 5, 1).unwrap();
         assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 1 });
@@ -990,12 +1030,116 @@ mod tests {
         ];
         {
             let j = SweepJournal::open(&path, 9, knees.len()).unwrap();
-            j.append(0, &knees).unwrap();
+            j.append(&cell(0, &knees)).unwrap();
         }
         let j = SweepJournal::open(&path, 9, knees.len()).unwrap();
-        let back = &j.completed()[&0];
+        let back = &j.recovered()[0].knees;
         for (a, b) in knees.iter().zip(back) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} != {b}");
         }
+    }
+
+    /// Pins the on-disk bytes of both journal kinds: headers, record
+    /// bodies (shortest round-trip floats), checksums, and what a torn
+    /// tail reads as and truncates back to.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        use crate::push::{DeltaJournal, DeltaRecord};
+        use rsg_platform::delta::PlatformDelta;
+        use rsg_platform::ClusterId;
+        let dir = tmpdir("journal-format");
+        let torn = |path: &Path, bytes: &[u8]| {
+            let mut f = OpenOptions::new().append(true).open(path).unwrap();
+            f.write_all(bytes).unwrap();
+        };
+
+        let sweep = dir.join("sweep.journal");
+        let _ = std::fs::remove_file(&sweep);
+        {
+            let j = SweepJournal::open(&sweep, 0xABCD, 2).unwrap();
+            j.append(&cell(3, &[0.1 + 0.2, 1.5])).unwrap();
+            j.append(&cell(7, &[1.0 / 3.0, 16.0])).unwrap();
+        }
+        let expected = "rsg-sweep-journal\tv1\t000000000000abcd\t2\n\
+                        cell\t3\t0.30000000000000004\t1.5\tbd95e13bc07c35a4\n\
+                        cell\t7\t0.3333333333333333\t16\t4363c2618f968efa\n";
+        assert_eq!(std::fs::read_to_string(&sweep).unwrap(), expected);
+        torn(&sweep, b"cell\t9\t4.0");
+        assert_eq!(SweepJournal::verify(&sweep).unwrap(), (0xABCD, 2, 2, 1));
+        let j = SweepJournal::open(&sweep, 0xABCD, 2).unwrap();
+        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 2 });
+        drop(j);
+        assert_eq!(std::fs::read_to_string(&sweep).unwrap(), expected);
+
+        let deltas = dir.join("deltas.journal");
+        let _ = std::fs::remove_file(&deltas);
+        let records = [
+            PlatformDelta::HostJoin {
+                cluster: ClusterId(2),
+                hosts: 4,
+            },
+            PlatformDelta::HostLeave {
+                cluster: ClusterId(0),
+                hosts: 1,
+            },
+            PlatformDelta::ClockDrift {
+                cluster: ClusterId(5),
+                clock_mhz: 2312.5,
+            },
+            PlatformDelta::BandwidthDrift {
+                cluster: ClusterId(1),
+                factor: 0.25,
+            },
+            PlatformDelta::PriceChange {
+                dollars_per_hour: 0.1 + 0.2,
+            },
+        ]
+        .iter()
+        .zip(1..)
+        .map(|(&delta, seq)| DeltaRecord { seq, delta })
+        .collect::<Vec<_>>();
+        {
+            let j = DeltaJournal::open(&deltas, 0xDEAD_BEEF, ()).unwrap();
+            for rec in &records {
+                j.append(rec).unwrap();
+            }
+        }
+        let expected = "rsg-delta-journal\tv1\t00000000deadbeef\n\
+                        delta\t1\thost-join\t2\t4\t3933b93abdbd4665\n\
+                        delta\t2\thost-leave\t0\t1\t3dd674183eec8eaa\n\
+                        delta\t3\tclock-drift\t5\t2312.5\tc35202d2efdde344\n\
+                        delta\t4\tbw-drift\t1\t0.25\t997bf015ea349188\n\
+                        delta\t5\tprice\t0.30000000000000004\t7eab528be1fb0539\n";
+        assert_eq!(std::fs::read_to_string(&deltas).unwrap(), expected);
+        torn(&deltas, b"delta\t6\tprice\t0.");
+        let (fp, (), good, bad) = DeltaJournal::verify(&deltas).unwrap();
+        assert_eq!((fp, good, bad), (0xDEAD_BEEF, 5, 1));
+        let j = DeltaJournal::open(&deltas, 0xDEAD_BEEF, ()).unwrap();
+        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 5 });
+        assert_eq!(j.recovered(), &records[..]);
+        drop(j);
+        assert_eq!(std::fs::read_to_string(&deltas).unwrap(), expected);
+    }
+
+    /// One rule for both record types: a journal holding only its
+    /// (matching) header resumes with zero records and is left as it
+    /// is on disk.
+    #[test]
+    fn header_only_journal_resumes_empty() {
+        use crate::push::DeltaJournal;
+        let dir = tmpdir("journal-header-only");
+        let sweep = dir.join("sweep.journal");
+        let header = "rsg-sweep-journal\tv1\t0000000000000005\t3\n";
+        std::fs::write(&sweep, header).unwrap();
+        let j = SweepJournal::open(&sweep, 5, 3).unwrap();
+        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 0 });
+        assert_eq!(std::fs::read_to_string(&sweep).unwrap(), header);
+
+        let deltas = dir.join("deltas.journal");
+        let header = "rsg-delta-journal\tv1\t0000000000000005\n";
+        std::fs::write(&deltas, header).unwrap();
+        let j = DeltaJournal::open(&deltas, 5, ()).unwrap();
+        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 0 });
+        assert_eq!(std::fs::read_to_string(&deltas).unwrap(), header);
     }
 }

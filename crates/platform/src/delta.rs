@@ -1,11 +1,16 @@
-//! Platform deltas: the unit of change a live platform emits.
+//! Platform deltas: the unit of change a live platform emits, and the
+//! one sequencer that orders them.
 //!
 //! The paper's universe is a static snapshot; a long-lived service
 //! tracks a platform that moves underneath it — hosts join and leave,
 //! clock rates and bandwidths drift, prices change. Each observed
-//! change is one [`PlatformDelta`], serialized as a single TSV record
-//! inside a checksummed delta journal (see `rsg-core`'s push module)
-//! and applied transactionally to a [`Platform`] + [`CostModel`] pair.
+//! change is one [`PlatformDelta`], carried with its stream position as
+//! a [`DeltaRecord`] (serialized as a single TSV record inside a
+//! checksummed delta journal, see `rsg-core`'s push module) and folded
+//! transactionally onto a [`Platform`] + [`CostModel`] pair by the
+//! [`DeltaSequencer`]. The push engine and the offline auditor both
+//! sequence with it, so what `rsg audit` predicts for a journal is what
+//! a boot replay does.
 //!
 //! Deltas carry *absolute* target values, not increments, wherever the
 //! quantity is continuous (`ClockDrift`, `BandwidthDrift`,
@@ -19,6 +24,7 @@ use crate::cluster::ClusterId;
 use crate::cost::CostModel;
 use crate::generator::{MAX_CLOCK_MHZ, MIN_CLOCK_MHZ};
 use crate::platform::Platform;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Largest host count a single delta may leave a cluster with. The
@@ -30,6 +36,11 @@ pub const MAX_CLUSTER_HOSTS: u32 = 1_000_000;
 /// get upgraded, but not 1000×, and a huge factor is how a bit-flipped
 /// float usually presents).
 pub const MAX_BANDWIDTH_FACTOR: f64 = 1000.0;
+
+/// Out-of-order records the sequencer will park before refusing more. A
+/// hostile stream of far-future sequence numbers fills this buffer and
+/// then gets rejected record-by-record — it can never exhaust memory.
+pub const MAX_PARKED: usize = 4096;
 
 /// One observed change to the live platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,22 +296,6 @@ impl PlatformDelta {
         Ok(())
     }
 
-    /// Pure preview: validates the delta against `platform` and returns
-    /// the state it *would* produce, without mutating either input.
-    /// This is what lets a static analyzer fold a delta stream onto a
-    /// platform with the exact semantics of [`apply`](Self::apply) —
-    /// same bounds, same errors — while the inputs stay shareable.
-    pub fn preview(
-        &self,
-        platform: &Platform,
-        cost: &CostModel,
-    ) -> Result<(Platform, CostModel), DeltaError> {
-        let mut p = platform.clone();
-        let mut c = *cost;
-        self.apply(&mut p, &mut c)?;
-        Ok((p, c))
-    }
-
     /// Whether the delta lands exactly on a physical clamp boundary
     /// (`MIN_CLOCK_MHZ` / `MAX_CLOCK_MHZ`). Such a record is *valid*,
     /// but a source that reports a clock pinned to the envelope edge is
@@ -313,6 +308,220 @@ impl PlatformDelta {
             }
             _ => false,
         }
+    }
+}
+
+/// One sequenced platform delta, as carried by the journal and the
+/// admin endpoint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaRecord {
+    /// Position in the delta stream; starts at 1, strictly increasing
+    /// at the source.
+    pub seq: u64,
+    /// The platform change itself.
+    pub delta: PlatformDelta,
+}
+
+/// How current a sequenced state is: the last applied delta sequence
+/// number and how many known deltas are still unapplied (parked behind
+/// a gap). Wall-clock age is layered on by the serving tier — the
+/// sequencer itself is clock-free so replay stays deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Staleness {
+    /// Highest contiguously applied sequence number.
+    pub applied_seq: u64,
+    /// Highest sequence number ever *accepted* — applied or parked.
+    /// Records refused by parked-buffer overflow do not count: the
+    /// caller was told they were refused, so they must not inflate the
+    /// lag until they are actually redelivered.
+    pub highest_seen: u64,
+    /// `highest_seen - applied_seq`: 0 means fully current.
+    pub lag: u64,
+}
+
+/// What one [`DeltaSequencer::submit_batch`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SequenceOutcome {
+    /// Records applied to the platform (batch + drained parked).
+    pub applied: usize,
+    /// Records skipped as duplicates.
+    pub duplicates: usize,
+    /// Records parked awaiting a gap fill.
+    pub parked: usize,
+    /// Previously parked records dropped at drain time (invalid against
+    /// the state the gap fill produced), plus records refused by
+    /// parked-buffer overflow.
+    pub rejected: usize,
+    /// Whether this batch closed a pre-existing sequence gap.
+    pub resynced: bool,
+}
+
+/// The delta-stream state machine: orders sequenced records onto a
+/// `(Platform, CostModel)` pair, detecting duplicates, reorderings,
+/// conflicts and gaps instead of trusting delivery order. Pure — no
+/// model state, no clock, no counters — so the push engine (which adds
+/// recomputation) and the offline auditor (which adds nothing) share
+/// this one implementation.
+#[derive(Debug, Clone)]
+pub struct DeltaSequencer {
+    platform: Platform,
+    cost: CostModel,
+    pending: BTreeMap<u64, DeltaRecord>,
+    applied_seq: u64,
+    highest_seen: u64,
+}
+
+impl DeltaSequencer {
+    /// Starts the stream at sequence zero over a base platform.
+    pub fn new(platform: Platform, cost: CostModel) -> DeltaSequencer {
+        DeltaSequencer {
+            platform,
+            cost,
+            pending: BTreeMap::new(),
+            applied_seq: 0,
+            highest_seen: 0,
+        }
+    }
+
+    /// The platform with every applied delta folded in.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
+    }
+
+    /// The cost model with every applied price delta folded in.
+    pub fn cost(&self) -> CostModel {
+        self.cost
+    }
+
+    /// How current the sequenced state is.
+    pub fn staleness(&self) -> Staleness {
+        Staleness {
+            applied_seq: self.applied_seq,
+            highest_seen: self.highest_seen,
+            lag: self.highest_seen - self.applied_seq,
+        }
+    }
+
+    /// The lowest missing sequence number, when a gap is open.
+    pub fn gap(&self) -> Option<u64> {
+        if self.pending.is_empty() {
+            None
+        } else {
+            Some(self.applied_seq + 1)
+        }
+    }
+
+    /// Sequences a batch of records transactionally.
+    ///
+    /// Classification per record: `seq ≤ applied`, or already parked
+    /// with the *same* payload → duplicate, skipped idempotently;
+    /// already parked with a *different* payload → the source is
+    /// contradicting itself, and the whole batch is refused with
+    /// [`DeltaError::ConflictingSeq`] rather than silently picking a
+    /// side; contiguous with the applied prefix → applied (possibly
+    /// draining parked records behind it); future → parked (bounded by
+    /// [`MAX_PARKED`]; overflow rejects the record, never grows
+    /// memory, and does not advance `highest_seen`).
+    ///
+    /// Validation is all-or-nothing for the *incoming* records: every
+    /// delta that would apply is applied to a scratch copy of the
+    /// platform, and any failure returns `Err` with no state change at
+    /// all. A *previously parked* record that turns out invalid when
+    /// its gap finally fills is dropped and its sequence number skipped
+    /// (counted in `rejected`) — a poisoned record must not wedge the
+    /// stream forever.
+    pub fn submit_batch(&mut self, records: &[DeltaRecord]) -> Result<SequenceOutcome, DeltaError> {
+        let mut out = SequenceOutcome::default();
+        let gap_was_open = !self.pending.is_empty();
+
+        // Stage everything on a scratch copy; commit only on success.
+        let mut next = self.clone();
+        let mut incoming: Vec<DeltaRecord> = records.to_vec();
+        incoming.sort_by_key(|r| r.seq);
+
+        for rec in &incoming {
+            if rec.seq <= next.applied_seq {
+                out.duplicates += 1;
+                continue;
+            }
+            if let Some(parked) = next.pending.get(&rec.seq) {
+                if parked.delta == rec.delta {
+                    out.duplicates += 1;
+                    continue;
+                }
+                // Same seq, different payload: a correction the
+                // first-write-wins park would silently discard. Refuse
+                // the batch so the conflict is surfaced instead.
+                return Err(DeltaError::ConflictingSeq(rec.seq));
+            }
+            if rec.seq == next.applied_seq + 1 {
+                // Incoming and contiguous: strict validation — any
+                // failure rejects the whole batch.
+                rec.delta.apply(&mut next.platform, &mut next.cost)?;
+                next.applied_seq = rec.seq;
+                next.highest_seen = next.highest_seen.max(rec.seq);
+                out.applied += 1;
+                // Drain parked records now contiguous. These were
+                // accepted in an earlier batch; if the state the gap
+                // fill produced makes one invalid, drop it and move on
+                // rather than wedging the stream.
+                while let Some(drained) = next.pending.remove(&(next.applied_seq + 1)) {
+                    match drained.delta.apply(&mut next.platform, &mut next.cost) {
+                        Ok(()) => out.applied += 1,
+                        Err(_) => out.rejected += 1,
+                    }
+                    next.applied_seq = drained.seq;
+                    next.highest_seen = next.highest_seen.max(drained.seq);
+                }
+            } else if next.pending.len() >= MAX_PARKED {
+                // Overflow: the record is refused, so it must not
+                // ratchet highest_seen — a rejected seq the caller was
+                // told about would otherwise count as lag forever.
+                out.rejected += 1;
+            } else {
+                // Future record: park it (bounded). Structural
+                // validation only — range checks against the platform
+                // happen at drain time, once the intervening records
+                // have shaped the state.
+                next.pending.insert(rec.seq, *rec);
+                out.parked += 1;
+                next.highest_seen = next.highest_seen.max(rec.seq);
+            }
+        }
+
+        *self = next;
+        // A resync completes when a batch drains a previously parked
+        // buffer: the gap that forced the quarantine is closed.
+        out.resynced = gap_was_open && out.applied > 0 && self.pending.is_empty();
+        Ok(out)
+    }
+
+    /// Replays recovered records with the boot-replay discipline: one
+    /// record per batch, in order, each refusal dropped and returned
+    /// instead of poisoning the rest of the stream. (Replaying the
+    /// whole file as one batch would give a record that was
+    /// drain-dropped live strict batch validation and roll back
+    /// *everything*.) Returns the summed outcome and the refused
+    /// records with their errors.
+    pub fn replay(
+        &mut self,
+        records: &[DeltaRecord],
+    ) -> (SequenceOutcome, Vec<(DeltaRecord, DeltaError)>) {
+        let mut total = SequenceOutcome::default();
+        let mut refused = Vec::new();
+        for rec in records {
+            match self.submit_batch(std::slice::from_ref(rec)) {
+                Ok(out) => {
+                    total.applied += out.applied;
+                    total.duplicates += out.duplicates;
+                    total.parked += out.parked;
+                    total.rejected += out.rejected;
+                    total.resynced |= out.resynced;
+                }
+                Err(e) => refused.push((*rec, e)),
+            }
+        }
+        (total, refused)
     }
 }
 
@@ -484,5 +693,60 @@ mod tests {
         .unwrap();
         assert_eq!(p.bandwidth_bps(a, b), bw0);
         assert_eq!(p.comm_factor(a, b), cf0);
+    }
+
+    #[test]
+    fn parked_buffer_is_bounded() {
+        let mut seq = DeltaSequencer::new(platform(), CostModel::default());
+        let far: Vec<DeltaRecord> = (0..MAX_PARKED as u64 + 10)
+            .map(|i| DeltaRecord {
+                seq: 1_000_000 + i,
+                delta: PlatformDelta::HostJoin {
+                    cluster: ClusterId(0),
+                    hosts: 1,
+                },
+            })
+            .collect();
+        let out = seq.submit_batch(&far).unwrap();
+        assert_eq!(out.parked, MAX_PARKED);
+        assert_eq!(out.rejected, 10);
+        assert_eq!(out.applied, 0);
+        // Rejected records do not ratchet highest_seen: the lag counts
+        // only what was actually accepted (applied or parked).
+        assert_eq!(
+            seq.staleness().highest_seen,
+            1_000_000 + MAX_PARKED as u64 - 1
+        );
+    }
+
+    #[test]
+    fn conflicting_parked_payload_rejects_the_batch() {
+        let mut seq = DeltaSequencer::new(platform(), CostModel::default());
+        let parked = DeltaRecord {
+            seq: 5,
+            delta: PlatformDelta::PriceChange {
+                dollars_per_hour: 0.2,
+            },
+        };
+        let out = seq.submit_batch(&[parked]).unwrap();
+        assert_eq!(out.parked, 1);
+
+        // Same payload redelivered: legal idempotent duplicate.
+        let out = seq.submit_batch(&[parked]).unwrap();
+        assert_eq!(out.duplicates, 1);
+
+        // Different payload under the same seq: the source contradicts
+        // itself — refuse the batch, don't silently keep either side.
+        let conflict = DeltaRecord {
+            seq: 5,
+            delta: PlatformDelta::PriceChange {
+                dollars_per_hour: 0.9,
+            },
+        };
+        let err = seq.submit_batch(&[conflict]).unwrap_err();
+        assert_eq!(err, DeltaError::ConflictingSeq(5));
+        // Nothing changed: the original parked record is still there.
+        assert_eq!(seq.staleness().highest_seen, 5);
+        assert_eq!(seq.gap(), Some(1));
     }
 }

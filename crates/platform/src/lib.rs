@@ -25,8 +25,9 @@
 //!   1.7 GHz instance, clock-scaled).
 //! * [`delta`] — live platform change records
 //!   ([`PlatformDelta`]): host join/leave, clock and
-//!   bandwidth drift, price changes, with validation and transactional
-//!   apply for the push-mode incremental engine.
+//!   bandwidth drift, price changes, with validation, and the
+//!   [`DeltaSequencer`](delta::DeltaSequencer) that orders a sequenced
+//!   stream of them for the push engine and the offline auditor.
 
 #![warn(missing_docs)]
 

@@ -17,7 +17,7 @@ use crate::REFERENCE_BANDWIDTH_BPS;
 /// place and records bandwidth drift in a per-cluster scale overlay
 /// (`bw_scale`), because topology bandwidth is derived from spanning-
 /// tree link capacities and cannot be edited per pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     clusters: Vec<Cluster>,
     topology: Topology,

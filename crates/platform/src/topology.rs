@@ -63,7 +63,7 @@ impl Default for TopologySpec {
 }
 
 /// A generated topology with per-cluster-pair bandwidth/latency oracles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: usize,
     /// Parent pointers of the maximum-capacity spanning tree, rooted at 0.

@@ -12,7 +12,7 @@
 //! bytes (caller-supplied), and wall time (an optional [`Deadline`]
 //! checked between reads) — so a hostile client can exhaust neither
 //! memory nor a worker's patience. The chaos harness
-//! ([`crate::chaostcp`]) drives every one of these limits over a real
+//! (`rsg_bench::chaostcp`) drives every one of these limits over a real
 //! socket.
 
 use crate::deadline::Deadline;

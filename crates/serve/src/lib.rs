@@ -34,9 +34,10 @@
 //!   incremental-recomputation engine; every answer carries a
 //!   staleness stamp and `/readyz` flips once staleness exceeds the
 //!   configured bound.
-//! - [`chaostcp`] is the seeded socket-level chaos harness that
-//!   drives all of the above hostile paths against a real daemon
-//!   (`bench_serve --chaos`, and the CI chaos-smoke step).
+//! - The seeded socket-level chaos harness that drives all of the
+//!   above hostile paths against a real daemon lives outside the
+//!   server, in `rsg_bench::chaostcp` (`bench_serve --chaos`, and the
+//!   CI chaos-smoke step).
 //!
 //! The wire format is documented in `docs/API.md`; running, draining,
 //! reloading and tuning a server is documented in
@@ -45,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaostcp;
 pub mod deadline;
 pub mod handlers;
 pub mod http;
@@ -55,7 +55,6 @@ pub mod registry;
 pub mod server;
 pub mod shed;
 
-pub use chaostcp::{ChaosConfig, ChaosReport};
 pub use deadline::Deadline;
 pub use handlers::ServerContext;
 pub use http::{HttpRequest, HttpResponse};

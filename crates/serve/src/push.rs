@@ -91,8 +91,8 @@ impl PushTracker {
     /// small enough that the initial sweep is a boot-time cost, real
     /// enough that every delta path exercises the full kernel. When
     /// `journal_path` is set, the journal is opened (torn tails
-    /// truncated, corrupt files quarantined) and every recovered
-    /// record replayed through the engine.
+    /// truncated, corrupt files quarantined) and its recovered records
+    /// replayed through [`PushEngine::replay`].
     pub fn new(journal_path: Option<PathBuf>) -> Result<PushTracker, StoreError> {
         let subject = journal_path.as_deref().map_or_else(
             || "/admin/platform".to_string(),
@@ -117,23 +117,13 @@ impl PushTracker {
         );
         let journal = match journal_path {
             Some(p) => {
-                let j = DeltaJournal::open(&p, engine.fingerprint())?;
-                // Replay record-by-record, in file order, with the same
-                // tolerance the live drain path has: a recovered record
-                // the engine refuses (e.g. one that was drain-dropped
-                // live and is just as invalid replayed) is dropped and
-                // counted, never allowed to poison the rest of the
-                // replay. Replaying the whole file as one batch would
-                // give such a record strict batch validation and roll
-                // back *everything* — durable state silently gone.
-                let recovered: Vec<DeltaRecord> = j.recovered().to_vec();
-                let mut dropped = 0u64;
-                for rec in &recovered {
-                    if engine.submit_batch(std::slice::from_ref(rec)).is_err() {
-                        dropped += 1;
-                    }
-                }
-                OBS_REPLAY_DROPPED.add(dropped);
+                let j = DeltaJournal::open(&p, engine.fingerprint(), ())?;
+                // A recovered record the engine refuses (e.g. one that
+                // was drain-dropped live and is just as invalid
+                // replayed) is dropped and counted, never allowed to
+                // poison the rest of the replay.
+                let (_, refused) = engine.replay(j.recovered());
+                OBS_REPLAY_DROPPED.add(refused.len() as u64);
                 Some(j)
             }
             None => None,

@@ -47,7 +47,7 @@ fn write(path: &Path, text: &str) -> std::io::Result<()> {
 fn write_journal(path: &Path, records: &[DeltaRecord]) -> std::io::Result<()> {
     std::fs::create_dir_all(path.parent().unwrap())?;
     let _ = std::fs::remove_file(path);
-    let j = DeltaJournal::open(path, serve_engine_fingerprint()).expect("journal open");
+    let j = DeltaJournal::open(path, serve_engine_fingerprint(), ()).expect("journal open");
     for rec in records {
         j.append(rec).expect("journal append");
     }

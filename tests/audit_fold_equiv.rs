@@ -1,94 +1,25 @@
-//! Differential proof that the auditor's static delta-stream fold is
-//! the real thing: `rsg_analyze::StaticFold` must agree bit-for-bit
-//! with the live [`PushEngine`] on every verdict — per-batch
-//! accept/reject, the outcome counters, the final `applied_seq` /
-//! `highest_seen`, and the folded platform itself — over seeded streams
-//! of valid, gapped, conflicting and journal-corrupted deliveries.
+//! The push engine is a [`DeltaSequencer`] plus recomputation, and
+//! `rsg audit` folds delta journals with that same sequencer. This test
+//! pins the wrapper: over seeded hostile streams — shuffled with
+//! duplicates, gapped, conflicting, and replayed from a journal with a
+//! corrupt record — every [`PushEngine`] verdict must equal a
+//! standalone sequencer's on the same input, the engine must recompute
+//! exactly the cells it dirtied, and its incremental tables must equal
+//! a from-scratch sweep of the platform it ends on.
 //!
-//! If these two ever disagree, `rsg audit` would either bless a
-//! deployment the server will refuse to boot, or condemn one it would
-//! happily serve. Neither is tolerable, so this test is the contract.
+//! If the engine ever drifted from the sequencer, `rsg audit` would
+//! either bless a deployment the server will refuse to boot, or condemn
+//! one it would happily serve.
 
-use rsg::analyze::{FoldOutcome, StaticFold};
+mod common;
+
+use common::{delta_stream, engine, platform, splitmix};
 use rsg::core::curve::CurveConfig;
 use rsg::core::observation::ObservationGrid;
-use rsg::core::push::{BatchOutcome, DeltaJournal, DeltaRecord, PushEngine};
+use rsg::core::push::{measure_on_platform, BatchOutcome, DeltaJournal, DeltaRecord, PushEngine};
 use rsg::core::THRESHOLD_LADDER;
-use rsg::platform::delta::PlatformDelta;
-use rsg::platform::{ClusterId, CostModel, Platform, ResourceGenSpec, TopologySpec};
-
-fn platform() -> Platform {
-    let spec = ResourceGenSpec {
-        clusters: 8,
-        year: 2006,
-        target_hosts: Some(240),
-    };
-    Platform::generate(spec, TopologySpec::default(), 11)
-}
-
-fn engine() -> PushEngine {
-    PushEngine::new(
-        ObservationGrid::tiny(),
-        CurveConfig::default(),
-        THRESHOLD_LADDER.to_vec(),
-        0,
-        platform(),
-        CostModel::default(),
-    )
-}
-
-/// splitmix64 — the streams must be identical across runs and machines.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A seeded stream of `n` deltas legal when applied in order — the same
-/// generator the push-convergence test uses.
-fn delta_stream(p: &Platform, n: usize, seed: u64) -> Vec<DeltaRecord> {
-    let mut state = seed;
-    let mut scratch = p.clone();
-    let mut cost = CostModel::default();
-    let mut out = Vec::with_capacity(n);
-    for seq in 1..=n as u64 {
-        let clusters = scratch.clusters().len();
-        let delta = loop {
-            let c = ClusterId((splitmix(&mut state) % clusters as u64) as u32);
-            let have = scratch.clusters()[c.index()].hosts;
-            let candidate = match splitmix(&mut state) % 5 {
-                0 => PlatformDelta::HostJoin {
-                    cluster: c,
-                    hosts: 1 + (splitmix(&mut state) % 4) as u32,
-                },
-                1 if have > 2 => PlatformDelta::HostLeave {
-                    cluster: c,
-                    hosts: 1,
-                },
-                2 => PlatformDelta::ClockDrift {
-                    cluster: c,
-                    clock_mhz: (scratch.clusters()[c.index()].clock_mhz
-                        * (0.95 + (splitmix(&mut state) % 11) as f64 / 100.0))
-                        .clamp(900.0, 30_000.0),
-                },
-                3 => PlatformDelta::BandwidthDrift {
-                    cluster: c,
-                    factor: 0.5 + (splitmix(&mut state) % 100) as f64 / 100.0,
-                },
-                _ => PlatformDelta::PriceChange {
-                    dollars_per_hour: 0.05 + (splitmix(&mut state) % 40) as f64 / 100.0,
-                },
-            };
-            if candidate.apply(&mut scratch, &mut cost).is_ok() {
-                break candidate;
-            }
-        };
-        out.push(DeltaRecord { seq, delta });
-    }
-    out
-}
+use rsg::platform::delta::{DeltaError, DeltaSequencer, PlatformDelta, SequenceOutcome};
+use rsg::platform::CostModel;
 
 /// Mutates a legal stream into one of the hostile shapes the auditor
 /// must judge identically to the engine.
@@ -127,75 +58,67 @@ fn distort(stream: &mut Vec<DeltaRecord>, shape: u64, state: &mut u64) {
     }
 }
 
+/// The engine's outcome is the sequencer's plus the recompute it
+/// caused, and it recomputes exactly what it dirtied.
 fn assert_outcomes_match(
     seed: u64,
     batch: usize,
-    fold: &Result<FoldOutcome, rsg::platform::delta::DeltaError>,
-    real: &Result<BatchOutcome, rsg::platform::delta::DeltaError>,
+    seq: &Result<SequenceOutcome, DeltaError>,
+    eng: &Result<BatchOutcome, DeltaError>,
 ) {
-    match (fold, real) {
-        (Ok(f), Ok(r)) => {
-            let f = (f.applied, f.duplicates, f.parked, f.rejected, f.resynced);
-            let r = (r.applied, r.duplicates, r.parked, r.rejected, r.resynced);
-            assert_eq!(f, r, "seed {seed:#x} batch {batch}: outcome drift");
-        }
-        (Err(fe), Err(re)) => {
+    match (seq, eng) {
+        (Ok(s), Ok(e)) => {
+            let s = (s.applied, s.duplicates, s.parked, s.rejected, s.resynced);
+            let e_seq = (e.applied, e.duplicates, e.parked, e.rejected, e.resynced);
+            assert_eq!(s, e_seq, "seed {seed:#x} batch {batch}: outcome drift");
             assert_eq!(
-                format!("{fe:?}"),
-                format!("{re:?}"),
-                "seed {seed:#x} batch {batch}: refusal drift"
+                e.dirtied, e.recomputed,
+                "seed {seed:#x} batch {batch}: recompute drift"
             );
         }
-        (f, r) => {
-            panic!("seed {seed:#x} batch {batch}: verdict drift — fold {f:?} vs engine {r:?}")
+        (Err(se), Err(ee)) => {
+            assert_eq!(se, ee, "seed {seed:#x} batch {batch}: refusal drift");
+        }
+        (s, e) => {
+            panic!("seed {seed:#x} batch {batch}: verdict drift — sequencer {s:?} vs engine {e:?}")
         }
     }
 }
 
-fn assert_platforms_match(seed: u64, fold: &StaticFold, eng: &PushEngine) {
+/// The engine ends where the standalone sequencer ends, and its
+/// incremental tables equal a from-scratch sweep of that platform.
+fn assert_states_match(seed: u64, seq: &DeltaSequencer, eng: &PushEngine) {
     assert_eq!(
-        fold.applied_seq(),
-        eng.staleness().applied_seq,
-        "seed {seed:#x}: applied_seq drift"
+        (seq.staleness(), seq.gap()),
+        (eng.staleness(), eng.gap()),
+        "seed {seed:#x}: sequence drift"
+    );
+    assert!(
+        seq.platform() == eng.platform(),
+        "seed {seed:#x}: platform drift"
+    );
+    assert_eq!(seq.cost(), eng.cost(), "seed {seed:#x}: cost drift");
+    let reference = measure_on_platform(
+        &ObservationGrid::tiny(),
+        &CurveConfig::default(),
+        &THRESHOLD_LADDER,
+        0,
+        eng.platform(),
     );
     assert_eq!(
-        fold.highest_seen(),
-        eng.staleness().highest_seen,
-        "seed {seed:#x}: highest_seen drift"
-    );
-    assert_eq!(fold.gap(), eng.gap(), "seed {seed:#x}: gap drift");
-    let (fp, ep) = (fold.platform(), eng.platform());
-    assert_eq!(
-        fp.clusters().len(),
-        ep.clusters().len(),
-        "seed {seed:#x}: cluster count drift"
-    );
-    for (i, (a, b)) in fp.clusters().iter().zip(ep.clusters()).enumerate() {
-        assert_eq!(
-            a.hosts, b.hosts,
-            "seed {seed:#x}: host drift at cluster {i}"
-        );
-        assert_eq!(
-            a.clock_mhz.to_bits(),
-            b.clock_mhz.to_bits(),
-            "seed {seed:#x}: clock drift at cluster {i}"
-        );
-    }
-    assert_eq!(
-        fold.cost().dollars_per_hour.to_bits(),
-        eng.cost().dollars_per_hour.to_bits(),
-        "seed {seed:#x}: cost drift"
+        eng.tables(),
+        &reference[..],
+        "seed {seed:#x}: incremental state diverged from the from-scratch sweep"
     );
 }
 
-/// The core differential property: for seeded valid / gapped /
-/// conflicting streams, delivered in identical batch segmentation, the
-/// static fold and the live engine return bit-identical verdicts and
-/// end in bit-identical platform state.
+/// Seeded valid / gapped / conflicting streams, delivered in identical
+/// batch segmentation to the engine and to a standalone sequencer.
 #[test]
-fn static_fold_matches_push_engine_on_hostile_streams() {
-    // One engine build per case is the expensive part (a full tiny
-    // sweep); 12 cases × 4 shapes stays well under tier-1 budget.
+fn push_engine_matches_sequencer_on_hostile_streams() {
+    // One engine build plus one reference sweep per case is the
+    // expensive part; 12 cases × 4 shapes stays well under tier-1
+    // budget.
     for case in 0..12u64 {
         let seed = 0xA0D1_7000 + case;
         let shape = case % 4;
@@ -204,24 +127,24 @@ fn static_fold_matches_push_engine_on_hostile_streams() {
         distort(&mut stream, shape, &mut state);
 
         let mut eng = engine();
-        let mut fold = StaticFold::new(platform(), CostModel::default());
+        let mut seq = DeltaSequencer::new(platform(), CostModel::default());
         let batch_len = 1 + (splitmix(&mut state) as usize % 4);
         for (b, chunk) in stream.chunks(batch_len).enumerate() {
-            let f = fold.submit_batch(chunk);
-            let r = eng.submit_batch(chunk);
-            assert_outcomes_match(seed, b, &f, &r);
+            let s = seq.submit_batch(chunk);
+            let e = eng.submit_batch(chunk);
+            assert_outcomes_match(seed, b, &s, &e);
         }
-        assert_platforms_match(seed, &fold, &eng);
+        assert_states_match(seed, &seq, &eng);
     }
 }
 
 /// The corrupt-tail path: a journal with a damaged record in the middle
-/// truncates on open; replaying the surviving prefix record-by-record
-/// (exactly how the serve boot path does it) must leave fold and engine
-/// in the same state, and the fold's tolerant `replay` must refuse
-/// nothing the engine would have accepted.
+/// truncates on open. The auditor's read-only decode and the boot
+/// path's open must see the same surviving prefix, and the engine's
+/// one-recompute [`PushEngine::replay`] must agree with the
+/// sequencer's tolerant replay on every count and refusal.
 #[test]
-fn static_fold_matches_push_engine_through_corrupt_journal_replay() {
+fn push_engine_replay_matches_sequencer_through_corrupt_journal() {
     let seed = 0xC0DE_D00Du64;
     let stream = delta_stream(&platform(), 10, seed);
 
@@ -231,7 +154,7 @@ fn static_fold_matches_push_engine_through_corrupt_journal_replay() {
     let jpath = dir.join("deltas.journal");
     let mut eng = engine();
     {
-        let j = DeltaJournal::open(&jpath, eng.fingerprint()).expect("journal");
+        let j = DeltaJournal::open(&jpath, eng.fingerprint(), ()).expect("journal");
         for rec in &stream {
             j.append(rec).expect("append");
         }
@@ -243,21 +166,28 @@ fn static_fold_matches_push_engine_through_corrupt_journal_replay() {
 
     // The auditor reads without truncating; the boot path truncates.
     // Both see the same surviving prefix.
-    let (_, audited, damaged) = DeltaJournal::read_records(&jpath).expect("read_records");
-    let j = DeltaJournal::open(&jpath, eng.fingerprint()).expect("reopen");
-    assert_eq!(audited, j.recovered(), "auditor and boot replay disagree");
-    assert!(damaged > 0, "the spliced record must be counted as damage");
-
-    let mut fold = StaticFold::new(platform(), CostModel::default());
-    let refusals = fold.replay(&audited);
-    for rec in &audited {
-        eng.submit_batch(std::slice::from_ref(rec)).expect("replay");
-    }
+    let audited = DeltaJournal::read(&jpath).expect("read");
     assert!(
-        refusals.is_empty(),
-        "fold refused records the engine accepted: {refusals:?}"
+        audited.damaged > 0,
+        "the spliced record must be counted as damage"
     );
-    assert_platforms_match(seed, &fold, &eng);
+    let j = DeltaJournal::open(&jpath, eng.fingerprint(), ()).expect("reopen");
+    assert_eq!(
+        audited.records,
+        j.recovered(),
+        "auditor and boot replay disagree"
+    );
+
+    let mut seq = DeltaSequencer::new(platform(), CostModel::default());
+    let (s, s_refused) = seq.replay(&audited.records);
+    let (e, e_refused) = eng.replay(&audited.records);
+    assert_outcomes_match(seed, 0, &Ok(s), &Ok(e));
+    assert_eq!(s_refused, e_refused, "refusal drift");
+    assert!(
+        e_refused.is_empty(),
+        "replay refused records of a legal stream: {e_refused:?}"
+    );
+    assert_states_match(seed, &seq, &eng);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

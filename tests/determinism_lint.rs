@@ -35,7 +35,6 @@ const INSTANT_ALLOWLIST: &[&str] = &[
 /// reviewed to do so.
 const HASHMAP_ALLOWLIST: &[&str] = &[
     "crates/core/src/curve.rs",       // memo cache, keyed lookups only
-    "crates/core/src/store.rs",       // journal resume index, keyed lookups only
     "crates/core/src/observation.rs", // curve-point memo, keyed lookups only
 ];
 

@@ -187,7 +187,7 @@ proptest! {
         // report the damage (or a shortened clean prefix), not panic.
         let fp = 0x1234_5678_9abc_def0u64;
         {
-            let j = rsg::core::DeltaJournal::open(&path, fp).unwrap();
+            let j = rsg::core::DeltaJournal::open(&path, fp, ()).unwrap();
             for (i, tsv) in ["price\t0.25", "clock-drift\t0\t2400", "price\t0.75"]
                 .iter()
                 .enumerate()
