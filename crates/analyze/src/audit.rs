@@ -34,28 +34,21 @@ use crate::artifact_lints::{classify, relative_subject, Artifact, ArtifactKind};
 use crate::diag::{AnalysisReport, Code, Diagnostic, Severity};
 use crate::model_lints::{lint_heuristic_model, lint_size_model};
 use crate::{analyze, Input};
-use rsg_core::observation::{sweep_fingerprint, ObservationGrid};
-use rsg_core::push::DeltaJournal;
-use rsg_core::{CurveConfig, SweepJournal, THRESHOLD_LADDER};
+use rsg_core::persist::{find_model, model_dir};
+use rsg_core::push::{DeltaJournal, EngineSweep};
+use rsg_core::SweepJournal;
 use rsg_platform::delta::{DeltaError, DeltaSequencer};
 use rsg_platform::{CostModel, Platform, PlatformFile};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 static OBS_AUDITS: rsg_obs::Counter = rsg_obs::Counter::new("audit.trees");
 static OBS_AUDIT_ARTIFACTS: rsg_obs::Counter = rsg_obs::Counter::new("audit.artifacts");
 
-/// The engine configuration fingerprint `rsg serve` keys its delta
-/// journal with: the tiny observation grid, default curve
-/// configuration and the paper's threshold ladder at refinement depth
-/// zero. A delta journal in a deployment tree that carries any other
-/// fingerprint will be quarantined at boot.
+/// The fingerprint `rsg serve` keys its delta journal with: that of
+/// [`EngineSweep::serving`]. A delta journal in a deployment tree that
+/// carries any other fingerprint will be quarantined at boot.
 pub fn serve_engine_fingerprint() -> u64 {
-    sweep_fingerprint(
-        &ObservationGrid::tiny(),
-        &CurveConfig::default(),
-        &THRESHOLD_LADDER,
-        0,
-    )
+    EngineSweep::serving().fingerprint()
 }
 
 /// Audits one deployment tree rooted at `root`. Only I/O on the root
@@ -121,12 +114,8 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
 
 fn lint_models(root: &Path, artifacts: &[Artifact], platform: &Platform) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let model_dir = if root.join("models").is_dir() {
-        root.join("models")
-    } else {
-        root.to_path_buf()
-    };
-    if discoverable_size_model(&model_dir).is_none() {
+    let model_dir = model_dir(root);
+    if !matches!(find_model(&model_dir, "size_model"), Ok(Some(_))) {
         out.push(Diagnostic::error(
             Code::Audit001,
             &relative_subject(root, &model_dir),
@@ -160,29 +149,6 @@ fn lint_models(root: &Path, artifacts: &[Artifact], platform: &Platform) -> Vec<
         }
     }
     out
-}
-
-/// Mirrors `ModelRegistry`'s size-model discovery: exact
-/// `size_model.tsv` preferred, else the lexicographically first
-/// `size_model*.tsv`.
-fn discoverable_size_model(dir: &Path) -> Option<PathBuf> {
-    let exact = dir.join("size_model.tsv");
-    if exact.is_file() {
-        return Some(exact);
-    }
-    let mut candidates: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("size_model") && n.ends_with(".tsv"))
-        })
-        .collect();
-    candidates.sort();
-    candidates.into_iter().next()
 }
 
 fn lint_sweep_journals(artifacts: &[Artifact]) -> Vec<Diagnostic> {

@@ -244,18 +244,10 @@ pub fn lint_heuristic_model(model: &HeuristicPredictionModel, subject: &str) -> 
 mod tests {
     use super::*;
     use rsg_core::PlaneFit;
-    use rsg_platform::{ResourceGenSpec, TopologySpec};
+    use rsg_platform::PlatformFile;
 
     fn platform() -> Platform {
-        Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        )
+        PlatformFile::serve_default().realize()
     }
 
     fn model(theta: f64, c: f64) -> SizePredictionModel {

@@ -327,18 +327,10 @@ pub fn rung_to_spec(rung: &SpecRung) -> Option<ResourceSpec> {
 mod tests {
     use super::*;
     use crate::specfile::parse_spec_doc;
-    use rsg_platform::{Platform, ResourceGenSpec, TopologySpec};
+    use rsg_platform::{Platform, PlatformFile};
 
     fn platform() -> Platform {
-        Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        )
+        PlatformFile::serve_default().realize()
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<Code> {

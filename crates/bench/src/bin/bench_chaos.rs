@@ -27,12 +27,14 @@
 //! captured [`rsg_obs::RunReport`] under an `"obs"` key.
 
 use rsg_bench::report::{secs, Table};
-use rsg_core::alternative::{alternatives, attempt_from_outcome, negotiate_with_retry};
+use rsg_core::alternative::{
+    alternatives, attempt_from_outcome, negotiate_with_retry, CLOCK_TIERS_MHZ,
+};
 use rsg_core::curve::CurveConfig;
 use rsg_core::specgen::ResourceSpec;
 use rsg_core::{find_knee, turnaround_curve, RetryPolicy, SpecGenerator};
 use rsg_dag::{Dag, RandomDagSpec};
-use rsg_platform::{Platform, ResourceGenSpec, TopologySpec};
+use rsg_platform::{Platform, PlatformFile};
 use rsg_sched::{
     evaluate_with_schedule, execute_with_faults, replay, resilient_turnaround, ExecutionContext,
     FaultPlanSpec, Perturbation, SchedTimeModel,
@@ -385,15 +387,7 @@ fn main() {
 
     // --- Negotiator sweep -------------------------------------------------
     eprintln!("bench_chaos: building degradation ladder...");
-    let platform = Platform::generate(
-        ResourceGenSpec {
-            clusters: 40,
-            year: 2006,
-            target_hosts: Some(1200),
-        },
-        TopologySpec::default(),
-        11,
-    );
+    let platform = PlatformFile::serve_default().realize();
     let original = ResourceSpec {
         rc_size: knee as u32,
         min_size: ((knee / 2).max(1)) as u32,
@@ -403,7 +397,7 @@ fn main() {
         threshold: KNEE_THETA,
         memory_mb: 512,
     };
-    let ladder = alternatives(&original, &dags, &[3000.0, 2500.0, 2000.0], &cfg);
+    let ladder = alternatives(&original, &dags, &CLOCK_TIERS_MHZ, &cfg);
     eprintln!("bench_chaos: ladder has {} rungs", ladder.len());
 
     let flaky_rates: &[f64] = if fast {

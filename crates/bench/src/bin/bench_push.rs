@@ -14,13 +14,11 @@
 //! Writes `BENCH_push.json`. Pass `--quick` for the CI-scale run
 //! (smaller platform, single timing rep); the schema is identical.
 
+use rsg_bench::deltas::{delta_stream, splitmix};
 use rsg_bench::report::Table;
-use rsg_core::curve::CurveConfig;
-use rsg_core::observation::ObservationGrid;
-use rsg_core::push::{measure_on_platform, DeltaJournal, DeltaRecord, PushEngine};
-use rsg_core::THRESHOLD_LADDER;
+use rsg_core::push::{DeltaJournal, DeltaRecord, EngineSweep, PushEngine};
 use rsg_platform::delta::PlatformDelta;
-use rsg_platform::{CostModel, Platform, ResourceGenSpec, TopologySpec};
+use rsg_platform::{CostModel, Platform, PlatformFile, ResourceGenSpec, TopologySpec};
 use std::time::Instant;
 
 struct Case {
@@ -31,105 +29,36 @@ struct Case {
     speedup: f64,
 }
 
+/// The serving platform, or a 12-cluster one for the CI-scale run.
 fn platform(quick: bool) -> Platform {
-    let spec = if quick {
-        ResourceGenSpec {
+    if quick {
+        let spec = ResourceGenSpec {
             clusters: 12,
             year: 2006,
             target_hosts: Some(420),
-        }
+        };
+        Platform::generate(spec, TopologySpec::default(), 11)
     } else {
-        ResourceGenSpec {
-            clusters: 40,
-            year: 2006,
-            target_hosts: Some(1200),
-        }
-    };
-    Platform::generate(spec, TopologySpec::default(), 11)
+        PlatformFile::serve_default().realize()
+    }
 }
 
 fn engine(quick: bool) -> PushEngine {
-    PushEngine::new(
-        ObservationGrid::tiny(),
-        CurveConfig::default(),
-        THRESHOLD_LADDER.to_vec(),
-        0,
-        platform(quick),
-        CostModel::default(),
-    )
+    EngineSweep::serving().engine(platform(quick), CostModel::default())
 }
 
 /// Times one full from-scratch resweep of the engine's current
 /// platform, best of `reps`.
 fn time_full_resweep(eng: &PushEngine, reps: usize) -> f64 {
+    let sweep = EngineSweep::serving();
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
-        let tables = measure_on_platform(
-            &ObservationGrid::tiny(),
-            &CurveConfig::default(),
-            &THRESHOLD_LADDER,
-            0,
-            eng.platform(),
-        );
+        let tables = sweep.measure_on(eng.platform());
         assert!(!tables.is_empty());
         best = best.min(started.elapsed().as_secs_f64() * 1e3);
     }
     best
-}
-
-/// A tiny deterministic generator (splitmix64) so the chaos stream is
-/// identical across runs.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Builds a seeded stream of `n` valid deltas against `p` (applied in
-/// sequence so host arithmetic stays legal).
-fn delta_stream(p: &Platform, n: usize, seed: u64) -> Vec<DeltaRecord> {
-    let mut state = seed;
-    let mut scratch = p.clone();
-    let mut cost = CostModel::default();
-    let mut out = Vec::with_capacity(n);
-    for seq in 1..=n as u64 {
-        let clusters = scratch.clusters().len();
-        let delta = loop {
-            let c = rsg_platform::ClusterId((splitmix(&mut state) % clusters as u64) as u32);
-            let have = scratch.clusters()[c.index()].hosts;
-            let candidate = match splitmix(&mut state) % 5 {
-                0 => PlatformDelta::HostJoin {
-                    cluster: c,
-                    hosts: 1 + (splitmix(&mut state) % 4) as u32,
-                },
-                1 if have > 2 => PlatformDelta::HostLeave {
-                    cluster: c,
-                    hosts: 1,
-                },
-                2 => PlatformDelta::ClockDrift {
-                    cluster: c,
-                    clock_mhz: (scratch.clusters()[c.index()].clock_mhz
-                        * (0.95 + (splitmix(&mut state) % 11) as f64 / 100.0))
-                        .clamp(900.0, 30_000.0),
-                },
-                3 => PlatformDelta::BandwidthDrift {
-                    cluster: c,
-                    factor: 0.5 + (splitmix(&mut state) % 100) as f64 / 100.0,
-                },
-                _ => PlatformDelta::PriceChange {
-                    dollars_per_hour: 0.05 + (splitmix(&mut state) % 40) as f64 / 100.0,
-                },
-            };
-            if candidate.apply(&mut scratch, &mut cost).is_ok() {
-                break candidate;
-            }
-        };
-        out.push(DeltaRecord { seq, delta });
-    }
-    out
 }
 
 /// The convergence-under-fault proof: shuffled chunks with injected
@@ -159,7 +88,7 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let jpath = dir.join("deltas.journal");
-    let fp = engine(quick).fingerprint();
+    let fp = EngineSweep::serving().fingerprint();
     {
         let j = DeltaJournal::open(&jpath, fp, ()).expect("journal");
         for rec in &delivery {
@@ -198,13 +127,7 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
     drop(j);
     let lag = eng.staleness().lag;
 
-    let reference = measure_on_platform(
-        &ObservationGrid::tiny(),
-        &CurveConfig::default(),
-        &THRESHOLD_LADDER,
-        0,
-        eng.platform(),
-    );
+    let reference = EngineSweep::serving().measure_on(eng.platform());
     let bit_identical = lag == 0 && eng.tables() == &reference[..];
     let cells = eng.cells();
     let report = eng.audit(cells, seed);

@@ -4,7 +4,7 @@
 
 use rsg_bench::experiments::{instances, Scale};
 use rsg_bench::report::Table;
-use rsg_core::alternative::tier_size_threshold;
+use rsg_core::alternative::{tier_size_threshold, CLOCK_TIERS_MHZ};
 use rsg_core::curve::CurveConfig;
 use rsg_dag::RandomDagSpec;
 
@@ -27,7 +27,7 @@ fn main() {
         Scale::Full => vec![50, 100, 200, 400],
         Scale::Fast => vec![25, 50, 100, 200],
     };
-    let tiers = [3000.0, 2500.0, 2000.0];
+    let tiers = CLOCK_TIERS_MHZ;
 
     let mut table = Table::new(
         std::iter::once("base size @3.5GHz".to_string())

@@ -2,10 +2,12 @@
 //!
 //! Experiment binaries (one per paper table/figure) live in `src/bin/`;
 //! Criterion benches in `benches/`. This library holds the shared
-//! output formatting, the fast/full experiment presets, and the
-//! socket-level chaos harness `bench_serve --chaos` fires at a daemon.
+//! output formatting, the fast/full experiment presets, the
+//! socket-level chaos harness `bench_serve --chaos` fires at a daemon,
+//! and the seeded delta streams `bench_push` and the push tests share.
 
 pub mod chaostcp;
+pub mod deltas;
 pub mod experiments;
 pub mod report;
 

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::CliError;
-use rsg_core::alternative::{alternatives, attempt_from_outcome, negotiate_with_retry};
+use rsg_core::alternative::{attempt_from_outcome, negotiate_with_retry, negotiation_ladder};
 use rsg_core::curve::{turnaround_curve, CurveConfig, RcFamily};
 use rsg_core::heurmodel::{HeuristicPredictionModel, HeuristicTraining};
 use rsg_core::knee::find_knees;
@@ -11,7 +11,7 @@ use rsg_core::specgen::{GeneratorConfig, SpecGenerator};
 use rsg_core::{RetryPolicy, ThresholdedSizeModel};
 use rsg_dag::io::{read_dag, to_dot, write_dag};
 use rsg_dag::{Dag, DagStats, RandomDagSpec};
-use rsg_platform::{Platform, ResourceCollection, ResourceGenSpec, TopologySpec};
+use rsg_platform::{PlatformFile, ResourceCollection};
 use rsg_sched::{
     evaluate_with_schedule, execute_with_faults, resilient_turnaround, FaultPlanSpec,
     HeuristicKind, Perturbation, SchedTimeModel,
@@ -365,16 +365,7 @@ pub fn spec(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         ..Default::default()
     };
     let spec = generator.generate(&dag, &cfg);
-    writeln!(
-        out,
-        "RC size {} (min {}), clocks {:.0}..{:.0} MHz, heuristic {}, threshold {:.1}%",
-        spec.rc_size,
-        spec.min_size,
-        spec.clock_mhz.0,
-        spec.clock_mhz.1,
-        spec.heuristic,
-        spec.threshold * 100.0
-    )?;
+    writeln!(out, "{}", spec.summary())?;
     if lang == "vgdl" || lang == "all" {
         writeln!(out, "\n--- vgDL ---")?;
         writeln!(out, "{}", SpecGenerator::to_vgdl(&spec))?;
@@ -491,7 +482,7 @@ pub fn chaos(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// The negotiation tail of `rsg spec`: binds the emitted spec against a
-/// vgES finder over a generated platform, optionally through the flaky
+/// vgES finder over the serving platform, optionally through the flaky
 /// injector, descending the degradation ladder on failure.
 fn negotiate_spec(
     spec: &rsg_core::ResourceSpec,
@@ -499,25 +490,8 @@ fn negotiate_spec(
     flaky_cfg: FlakyConfig,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let platform = Platform::generate(
-        ResourceGenSpec {
-            clusters: 40,
-            year: 2006,
-            target_hosts: Some(1200),
-        },
-        TopologySpec::default(),
-        11,
-    );
-    let tiers: Vec<f64> = [3000.0, 2500.0, 2000.0]
-        .into_iter()
-        .filter(|&t| t < spec.clock_mhz.1)
-        .collect();
-    let ladder = alternatives(
-        spec,
-        std::slice::from_ref(dag),
-        &tiers,
-        &CurveConfig::default(),
-    );
+    let platform = PlatformFile::serve_default().realize();
+    let ladder = negotiation_ladder(spec, dag);
     let finder = VgesFinder::default();
     let mut flaky =
         FlakySelector::new(flaky_cfg).map_err(|e| CliError::Usage(format!("flaky config: {e}")))?;
@@ -727,19 +701,9 @@ pub fn lint(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     if inputs.is_empty() {
         return Err(CliError::Usage("lint needs at least one file".into()));
     }
-    // The satisfiability check runs against the same deterministic
-    // 2006-era platform the negotiation path uses.
-    let platform = with_platform.then(|| {
-        Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        )
-    });
+    // The satisfiability check runs against the serving platform the
+    // negotiation path binds against.
+    let platform = with_platform.then(|| PlatformFile::serve_default().realize());
     let report = rsg_analyze::analyze(&inputs, platform.as_ref());
     match format.as_str() {
         "json" => writeln!(out, "{}", report.to_json())?,

@@ -94,6 +94,22 @@ pub fn tier_size_threshold(
     None
 }
 
+/// The slower clock tiers, MHz, a spec degrades to when negotiating
+/// (Figure VII-7's tiers below the 3.5 GHz reference).
+pub const CLOCK_TIERS_MHZ: [f64; 3] = [3000.0, 2500.0, 2000.0];
+
+/// The ladder `rsg spec --negotiate` and `POST /spec` walk: `spec`
+/// degraded over the [`CLOCK_TIERS_MHZ`] below its clock, grounded on
+/// `dag` under the default curve configuration.
+pub fn negotiation_ladder(spec: &ResourceSpec, dag: &Dag) -> Vec<Alternative> {
+    alternatives(
+        spec,
+        std::slice::from_ref(dag),
+        &CLOCK_TIERS_MHZ,
+        &CurveConfig::default(),
+    )
+}
+
 /// Builds the ordered alternative ladder for a spec.
 ///
 /// `clock_tiers` must be descending (e.g. `[3500, 3000, 2500]` MHz);

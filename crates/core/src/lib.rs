@@ -73,8 +73,8 @@ pub use observation::{
 };
 pub use planefit::PlaneFit;
 pub use push::{
-    measure_on_platform, AuditReport, BatchOutcome, DeltaJournal, DeltaRecord, PushEngine,
-    Staleness,
+    measure_on_platform, AuditReport, BatchOutcome, DeltaJournal, DeltaRecord, EngineSweep,
+    PushEngine, Staleness,
 };
 pub use sizemodel::{SizePredictionModel, ThresholdedSizeModel};
 pub use specgen::{ResourceSpec, SpecGenerator, SpecViolation};

@@ -27,6 +27,7 @@
 use crate::planefit::PlaneFit;
 use crate::sizemodel::{SizePredictionModel, ThresholdedSizeModel};
 use crate::store::StoreError;
+use std::path::{Path, PathBuf};
 
 /// Errors from decoding persisted models — an alias for the store-wide
 /// typed taxonomy (the historical name, kept for callers).
@@ -501,7 +502,7 @@ pub const HEUR_MODEL_KIND: &str = "heur-model";
 /// file is returned as-is; a wrapped one is checksum-verified and must
 /// carry the expected `kind`. This is the single on-disk read path for
 /// trained models, shared by the CLI and the serving registry.
-pub fn read_model_payload(path: &std::path::Path, kind: &str) -> Result<String, StoreError> {
+pub fn read_model_payload(path: &Path, kind: &str) -> Result<String, StoreError> {
     let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read model", &e))?;
     if !crate::store::looks_like_envelope(&text) {
         return Ok(text);
@@ -519,7 +520,7 @@ pub fn read_model_payload(path: &std::path::Path, kind: &str) -> Result<String, 
 
 /// Loads a [`ThresholdedSizeModel`] from disk, verifying the store
 /// envelope when present.
-pub fn load_size_model(path: &std::path::Path) -> Result<ThresholdedSizeModel, StoreError> {
+pub fn load_size_model(path: &Path) -> Result<ThresholdedSizeModel, StoreError> {
     let payload = read_model_payload(path, SIZE_MODEL_KIND)?;
     ThresholdedSizeModel::from_tsv(&payload)
 }
@@ -527,10 +528,46 @@ pub fn load_size_model(path: &std::path::Path) -> Result<ThresholdedSizeModel, S
 /// Loads a [`crate::heurmodel::HeuristicPredictionModel`] from disk,
 /// verifying the store envelope when present.
 pub fn load_heuristic_model(
-    path: &std::path::Path,
+    path: &Path,
 ) -> Result<crate::heurmodel::HeuristicPredictionModel, StoreError> {
     let payload = read_model_payload(path, HEUR_MODEL_KIND)?;
     crate::heurmodel::HeuristicPredictionModel::from_tsv(&payload)
+}
+
+/// The directory a deployment tree keeps its models in: `<root>/models`
+/// when that directory exists, else `root` itself. `rsg serve --models`
+/// loads from here and `rsg audit` checks it (AUDIT001).
+pub fn model_dir(root: &Path) -> PathBuf {
+    let models = root.join("models");
+    if models.is_dir() {
+        models
+    } else {
+        root.to_path_buf()
+    }
+}
+
+/// Finds the model file `prefix` names in `dir`: `<prefix>.tsv` when
+/// present, else the lexicographically first `<prefix>*.tsv`. Only
+/// files count — a directory that matches the pattern is skipped.
+pub fn find_model(dir: &Path, prefix: &str) -> std::io::Result<Option<PathBuf>> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let named = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with(prefix) && n.ends_with(".tsv"));
+        if named && path.is_file() {
+            found.push(path);
+        }
+    }
+    found.sort();
+    let exact = dir.join(format!("{prefix}.tsv"));
+    Ok(if found.contains(&exact) {
+        Some(exact)
+    } else {
+        found.into_iter().next()
+    })
 }
 
 #[cfg(test)]
@@ -697,5 +734,39 @@ mod tests {
             .join("\n\n");
         let back = ThresholdedSizeModel::from_tsv(&text).unwrap();
         assert_eq!(back.models.len(), ladder.models.len());
+    }
+
+    #[test]
+    fn model_discovery_prefers_exact_name_and_skips_directories() {
+        let root = std::env::temp_dir().join(format!("rsg_find_model_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        assert_eq!(model_dir(&root), root);
+        assert_eq!(find_model(&root, "size_model").unwrap(), None);
+
+        // A directory named like the exact model is not a model.
+        std::fs::create_dir_all(root.join("size_model.tsv")).unwrap();
+        assert_eq!(find_model(&root, "size_model").unwrap(), None);
+        for name in ["size_model_b.tsv", "size_model-a.tsv", "size_model.txt"] {
+            std::fs::write(root.join(name), "x").unwrap();
+        }
+        assert_eq!(
+            find_model(&root, "size_model").unwrap(),
+            Some(root.join("size_model-a.tsv"))
+        );
+
+        // The exact name wins over a lexicographically earlier match,
+        // and a `models/` subdirectory holds the tree's models.
+        let models = root.join("models");
+        std::fs::create_dir_all(&models).unwrap();
+        std::fs::write(models.join("size_model-a.tsv"), "x").unwrap();
+        std::fs::write(models.join("size_model.tsv"), "x").unwrap();
+        assert_eq!(model_dir(&root), models);
+        assert_eq!(
+            find_model(&models, "size_model").unwrap(),
+            Some(models.join("size_model.tsv"))
+        );
+        assert!(find_model(&root.join("missing"), "size_model").is_err());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -46,7 +46,7 @@
 
 use crate::curve::{CurveConfig, RcFamily};
 use crate::observation::{
-    assemble_tables, compute_cell_rc, prepare, sweep_fingerprint, KneeTable, ObservationGrid,
+    assemble_tables, compute_cell, prepare, sweep_fingerprint, KneeTable, ObservationGrid,
     SweepInputs,
 };
 use crate::sizemodel::ThresholdedSizeModel;
@@ -201,6 +201,67 @@ pub fn measure_on_platform(
     assemble_tables(grid, &inputs.cells, &per_cell, thetas)
 }
 
+/// The sweep a [`PushEngine`] maintains: observation grid, curve
+/// configuration, knee thresholds and refinement depth.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineSweep {
+    /// The observation grid.
+    pub grid: ObservationGrid,
+    /// Heuristic, scheduling-time model and base RC family.
+    pub cfg: CurveConfig,
+    /// Knee thresholds, one table each.
+    pub thetas: Vec<f64>,
+    /// Knee-refinement depth.
+    pub refine_rounds: u32,
+}
+
+impl EngineSweep {
+    /// The sweep `rsg serve`'s push tracker maintains: the tiny
+    /// observation grid (small enough that the initial sweep is a
+    /// boot-time cost, real enough that every delta path exercises the
+    /// full kernel), the default curve configuration and the paper's
+    /// threshold ladder at refinement depth zero. `rsg audit` binds
+    /// delta journals to its [`fingerprint`](Self::fingerprint).
+    pub fn serving() -> EngineSweep {
+        EngineSweep {
+            grid: ObservationGrid::tiny(),
+            cfg: CurveConfig::default(),
+            thetas: crate::THRESHOLD_LADDER.to_vec(),
+            refine_rounds: 0,
+        }
+    }
+
+    /// The sweep fingerprint an engine over this sweep keys its delta
+    /// journal with.
+    pub fn fingerprint(&self) -> u64 {
+        sweep_fingerprint(&self.grid, &self.cfg, &self.thetas, self.refine_rounds)
+    }
+
+    /// [`measure_on_platform`] over this sweep.
+    pub fn measure_on(&self, platform: &Platform) -> Vec<KneeTable> {
+        measure_on_platform(
+            &self.grid,
+            &self.cfg,
+            &self.thetas,
+            self.refine_rounds,
+            platform,
+        )
+    }
+
+    /// A [`PushEngine`] over this sweep, built with a full initial
+    /// sweep of `platform`.
+    pub fn engine(self, platform: Platform, cost: CostModel) -> PushEngine {
+        PushEngine::new(
+            self.grid,
+            self.cfg,
+            self.thetas,
+            self.refine_rounds,
+            platform,
+            cost,
+        )
+    }
+}
+
 /// Every cell's family on `platform`, and every cell evaluated against
 /// it: the full sweep [`measure_on_platform`] runs and
 /// [`PushEngine::new`] starts from.
@@ -216,7 +277,7 @@ fn sweep_on(
         .into_par_iter()
         .map(|c| {
             let rc = families[c].build(*inputs.ladders[c].last().unwrap());
-            compute_cell_rc(inputs, cfg, thetas, refine_rounds, c, &rc)
+            compute_cell(inputs, cfg, thetas, refine_rounds, c, &rc).0
         })
         .collect();
     (families, per_cell)
@@ -405,7 +466,7 @@ impl PushEngine {
     /// Evaluates cell `c` of this engine's sweep against `family`.
     fn compute(&self, c: usize, family: &RcFamily) -> Vec<f64> {
         let rc = family.build(*self.inputs.ladders[c].last().unwrap());
-        compute_cell_rc(
+        compute_cell(
             &self.inputs,
             &self.cfg,
             &self.thetas,
@@ -413,6 +474,7 @@ impl PushEngine {
             c,
             &rc,
         )
+        .0
     }
 
     /// Rebuilds the tables and fit from the per-cell state.
@@ -501,7 +563,6 @@ impl PushEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::THRESHOLD_LADDER;
     use rsg_platform::{ClusterId, ResourceGenSpec, TopologySpec};
     use std::path::PathBuf;
 
@@ -518,14 +579,7 @@ mod tests {
     }
 
     fn engine() -> PushEngine {
-        PushEngine::new(
-            ObservationGrid::tiny(),
-            CurveConfig::default(),
-            THRESHOLD_LADDER.to_vec(),
-            0,
-            tiny_platform(),
-            CostModel::default(),
-        )
+        EngineSweep::serving().engine(tiny_platform(), CostModel::default())
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -538,13 +592,7 @@ mod tests {
     #[test]
     fn initial_state_matches_from_scratch() {
         let eng = engine();
-        let reference = measure_on_platform(
-            &ObservationGrid::tiny(),
-            &CurveConfig::default(),
-            &THRESHOLD_LADDER,
-            0,
-            &tiny_platform(),
-        );
+        let reference = EngineSweep::serving().measure_on(&tiny_platform());
         assert_eq!(eng.tables(), &reference[..]);
     }
 
@@ -589,13 +637,7 @@ mod tests {
 
         // Incremental state now matches a from-scratch sweep of the
         // final platform, bit for bit.
-        let reference = measure_on_platform(
-            &ObservationGrid::tiny(),
-            &CurveConfig::default(),
-            &THRESHOLD_LADDER,
-            0,
-            eng.platform(),
-        );
+        let reference = EngineSweep::serving().measure_on(eng.platform());
         assert_eq!(eng.tables(), &reference[..]);
     }
 
@@ -632,13 +674,7 @@ mod tests {
         // Audit the whole grid so cell 0 is certainly sampled.
         let report = eng.audit(eng.cells(), 7);
         assert_eq!(report.divergent, 1);
-        let reference = measure_on_platform(
-            &ObservationGrid::tiny(),
-            &CurveConfig::default(),
-            &THRESHOLD_LADDER,
-            0,
-            eng.platform(),
-        );
+        let reference = EngineSweep::serving().measure_on(eng.platform());
         assert_eq!(eng.tables(), &reference[..]);
         // A second audit finds nothing.
         let report = eng.audit(eng.cells(), 7);

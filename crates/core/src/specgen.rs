@@ -77,6 +77,20 @@ impl std::fmt::Display for SpecViolation {
 }
 
 impl ResourceSpec {
+    /// The one-line summary `rsg spec` prints first and `/spec` returns
+    /// as `"summary"`.
+    pub fn summary(&self) -> String {
+        format!(
+            "RC size {} (min {}), clocks {:.0}..{:.0} MHz, heuristic {}, threshold {:.1}%",
+            self.rc_size,
+            self.min_size,
+            self.clock_mhz.0,
+            self.clock_mhz.1,
+            self.heuristic,
+            self.threshold * 100.0
+        )
+    }
+
     /// Checks the basic semantic well-formedness rules and returns
     /// every violated one (empty for a healthy spec). Deterministic
     /// order: the order of the checks below.

@@ -332,18 +332,10 @@ mod tests {
     use crate::sword::{AttrRange, Bound, SwordEngine, SwordGroup, SwordRequest};
     use crate::vgdl::{Aggregate, AggregateKind, CmpOp, NodeConstraint, VgdlSpec, VgesFinder};
     use crate::Matchmaker;
-    use rsg_platform::{Platform, ResourceGenSpec, TopologySpec};
+    use rsg_platform::{Platform, PlatformFile};
 
     fn platform() -> Platform {
-        Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        )
+        PlatformFile::serve_default().realize()
     }
 
     fn vgdl_req() -> VgdlSpec {

@@ -24,8 +24,7 @@ use crate::push::{PushTracker, SubmitError, SubmitOutcome};
 use crate::registry::{Generation, ModelRegistry, ModelStore, ReloadOutcome};
 use crate::shed::{ShedLevel, ShedState, SHED_DEGRADED, SHED_EARLY};
 use rsg_analyze::{AnalysisReport, DeltaDiagnostic, Diagnostic, Input};
-use rsg_core::alternative::{alternatives, attempt_from_outcome, negotiate_with_retry};
-use rsg_core::curve::CurveConfig;
+use rsg_core::alternative::{attempt_from_outcome, negotiate_with_retry, negotiation_ladder};
 use rsg_core::heurmodel::HeuristicPredictionModel;
 use rsg_core::push::{DeltaRecord, Staleness};
 use rsg_core::specgen::{GeneratorConfig, SpecGenerator};
@@ -34,7 +33,7 @@ use rsg_dag::{Dag, DagStats};
 use rsg_obs::json::{escape, num, Json};
 use rsg_obs::{Counter, RunReport, TimingHistogram};
 use rsg_platform::delta::PlatformDelta;
-use rsg_platform::{Platform, ResourceGenSpec, TopologySpec};
+use rsg_platform::{Platform, PlatformFile};
 use rsg_sched::HeuristicKind;
 use rsg_select::{FlakyConfig, FlakySelector, VgesFinder};
 use std::sync::OnceLock;
@@ -173,21 +172,12 @@ impl ServerContext {
         &self.shed
     }
 
-    /// The deterministic 2006-era platform the negotiation path binds
-    /// against (the same one `rsg spec --negotiate` and `rsg lint
-    /// --platform` use). Built on first use, then cached hot.
+    /// The serving platform ([`PlatformFile::serve_default`]) the
+    /// negotiation path binds against, as `rsg spec --negotiate` and
+    /// `rsg lint --platform` do. Built on first use, then cached hot.
     fn platform(&self) -> &Platform {
-        self.platform.get_or_init(|| {
-            Platform::generate(
-                ResourceGenSpec {
-                    clusters: 40,
-                    year: 2006,
-                    target_hosts: Some(1200),
-                },
-                TopologySpec::default(),
-                11,
-            )
-        })
+        self.platform
+            .get_or_init(|| PlatformFile::serve_default().realize())
     }
 }
 
@@ -349,17 +339,6 @@ fn spec_endpoint(ctx: &ServerContext, body: &Json, deadline: &Deadline) -> HttpR
     let vgdl = SpecGenerator::to_vgdl(&spec);
     let classad = SpecGenerator::to_classad(&spec);
     let sword = rsg_select::sword::write_sword(&SpecGenerator::to_sword(&spec));
-    // This summary string is byte-identical to the first line `rsg
-    // spec` prints — the e2e test depends on that.
-    let summary = format!(
-        "RC size {} (min {}), clocks {:.0}..{:.0} MHz, heuristic {}, threshold {:.1}%",
-        spec.rc_size,
-        spec.min_size,
-        spec.clock_mhz.0,
-        spec.clock_mhz.1,
-        spec.heuristic,
-        spec.threshold * 100.0
-    );
 
     let negotiation = match (body.get("negotiate"), &dag) {
         (Some(Json::Bool(true)), Some(dag)) => {
@@ -380,7 +359,7 @@ fn spec_endpoint(ctx: &ServerContext, body: &Json, deadline: &Deadline) -> HttpR
     };
 
     let mut out = String::from("{");
-    out.push_str(&format!("\"summary\": {}", escape(&summary)));
+    out.push_str(&format!("\"summary\": {}", escape(&spec.summary())));
     out.push_str(&format!(
         ", \"heuristic\": {}",
         escape(spec.heuristic.name())
@@ -487,16 +466,7 @@ fn negotiate(
     };
     let mut flaky = FlakySelector::new(flaky_cfg)
         .map_err(|e| error(400, "usage", &format!("flaky config: {e}"), &[]))?;
-    let tiers: Vec<f64> = [3000.0, 2500.0, 2000.0]
-        .into_iter()
-        .filter(|&t| t < spec.clock_mhz.1)
-        .collect();
-    let ladder = alternatives(
-        spec,
-        std::slice::from_ref(dag),
-        &tiers,
-        &CurveConfig::default(),
-    );
+    let ladder = negotiation_ladder(spec, dag);
     let finder = VgesFinder::default();
     let platform = ctx.platform();
     let mut policy = RetryPolicy {
@@ -1331,6 +1301,7 @@ pub fn analysis_is_clean(report: &AnalysisReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsg_core::curve::CurveConfig;
     use rsg_core::observation::{measure, ObservationGrid};
     use rsg_core::ThresholdedSizeModel;
 

@@ -13,12 +13,13 @@
 //! a delta never pays for the initial sweep.
 
 use rsg_analyze::{code_for, lint_delta_batch, DeltaDiagnostic};
-use rsg_core::observation::ObservationGrid;
-use rsg_core::push::{AuditReport, BatchOutcome, DeltaJournal, DeltaRecord, PushEngine, Staleness};
-use rsg_core::{CurveConfig, StoreError, THRESHOLD_LADDER};
+use rsg_core::push::{
+    AuditReport, BatchOutcome, DeltaJournal, DeltaRecord, EngineSweep, PushEngine, Staleness,
+};
+use rsg_core::StoreError;
 use rsg_obs::Counter;
 use rsg_platform::delta::DeltaError;
-use rsg_platform::{CostModel, Platform, ResourceGenSpec, TopologySpec};
+use rsg_platform::{CostModel, PlatformFile};
 use std::path::PathBuf;
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
@@ -85,34 +86,19 @@ pub struct PushTracker {
 }
 
 impl PushTracker {
-    /// Builds the tracker over the deterministic negotiation platform
-    /// (the same 40-cluster / 1200-host universe the CLI and the
-    /// negotiation path bind against) with the tiny observation grid —
-    /// small enough that the initial sweep is a boot-time cost, real
-    /// enough that every delta path exercises the full kernel. When
-    /// `journal_path` is set, the journal is opened (torn tails
-    /// truncated, corrupt files quarantined) and its recovered records
-    /// replayed through [`PushEngine::replay`].
+    /// Builds the tracker's engine over the serving platform
+    /// ([`PlatformFile::serve_default`]) and the serving sweep
+    /// ([`EngineSweep::serving`]). When `journal_path` is set, the
+    /// journal is opened (torn tails truncated, corrupt files
+    /// quarantined) and its recovered records replayed through
+    /// [`PushEngine::replay`].
     pub fn new(journal_path: Option<PathBuf>) -> Result<PushTracker, StoreError> {
         let subject = journal_path.as_deref().map_or_else(
             || "/admin/platform".to_string(),
             |p| p.display().to_string(),
         );
-        let platform = Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        );
-        let mut engine = PushEngine::new(
-            ObservationGrid::tiny(),
-            CurveConfig::default(),
-            THRESHOLD_LADDER.to_vec(),
-            0,
-            platform,
+        let mut engine = EngineSweep::serving().engine(
+            PlatformFile::serve_default().realize(),
             CostModel::default(),
         );
         let journal = match journal_path {
@@ -360,15 +346,7 @@ mod tests {
         let path = dir.join("deltas.journal");
 
         // Same platform the tracker builds, to read real host counts.
-        let platform = Platform::generate(
-            ResourceGenSpec {
-                clusters: 40,
-                year: 2006,
-                target_hosts: Some(1200),
-            },
-            TopologySpec::default(),
-            11,
-        );
+        let platform = PlatformFile::serve_default().realize();
         let (c, have) = platform
             .clusters()
             .iter()
@@ -416,5 +394,52 @@ mod tests {
         assert_eq!(replayed, live);
         assert_eq!(age_s, 0.0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A deployment tree as the daemon leaves it — the live tracker's
+    /// delta journal next to a `models/` directory — must audit with
+    /// no AUDIT001 (the audit finds the models the registry loads) and
+    /// no AUDIT003 (the journal binds to the audit's serving
+    /// fingerprint).
+    #[test]
+    fn tracker_journal_and_models_tree_audits_clean() {
+        let tree = std::env::temp_dir().join(format!("rsg-tracker-tree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tree);
+        std::fs::create_dir_all(tree.join("models")).unwrap();
+        let shipped = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../models/size_model_fast.tsv"
+        );
+        std::fs::copy(shipped, tree.join("models/size_model_fast.tsv")).unwrap();
+
+        let tracker = PushTracker::new(Some(tree.join("deltas.journal"))).unwrap();
+        let records = [
+            DeltaRecord {
+                seq: 1,
+                delta: PlatformDelta::HostJoin {
+                    cluster: ClusterId(0),
+                    hosts: 2,
+                },
+            },
+            DeltaRecord {
+                seq: 2,
+                delta: PlatformDelta::PriceChange {
+                    dollars_per_hour: 0.3,
+                },
+            },
+        ];
+        assert_eq!(tracker.submit(&records).unwrap().batch.applied, 2);
+        drop(tracker);
+
+        crate::ModelRegistry::load(&tree).unwrap();
+        let report = rsg_analyze::audit_tree(&tree).unwrap();
+        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert!(
+            !codes.contains(&rsg_analyze::Code::Audit001)
+                && !codes.contains(&rsg_analyze::Code::Audit003),
+            "{:?}",
+            report.diagnostics
+        );
+        let _ = std::fs::remove_dir_all(&tree);
     }
 }

@@ -14,10 +14,7 @@
 mod common;
 
 use common::{delta_stream, engine, platform, splitmix};
-use rsg::core::curve::CurveConfig;
-use rsg::core::observation::ObservationGrid;
-use rsg::core::push::{measure_on_platform, BatchOutcome, DeltaJournal, DeltaRecord, PushEngine};
-use rsg::core::THRESHOLD_LADDER;
+use rsg::core::push::{BatchOutcome, DeltaJournal, DeltaRecord, EngineSweep, PushEngine};
 use rsg::platform::delta::{DeltaError, DeltaSequencer, PlatformDelta, SequenceOutcome};
 use rsg::platform::CostModel;
 
@@ -98,13 +95,7 @@ fn assert_states_match(seed: u64, seq: &DeltaSequencer, eng: &PushEngine) {
         "seed {seed:#x}: platform drift"
     );
     assert_eq!(seq.cost(), eng.cost(), "seed {seed:#x}: cost drift");
-    let reference = measure_on_platform(
-        &ObservationGrid::tiny(),
-        &CurveConfig::default(),
-        &THRESHOLD_LADDER,
-        0,
-        eng.platform(),
-    );
+    let reference = EngineSweep::serving().measure_on(eng.platform());
     assert_eq!(
         eng.tables(),
         &reference[..],

@@ -7,7 +7,7 @@
 //! `RSG_UPDATE_GOLDEN=1 cargo test --test lint_corpus`.
 
 use rsg::analyze::{analyze, AnalysisReport, Code, Input};
-use rsg::platform::{Platform, ResourceGenSpec, TopologySpec};
+use rsg::platform::{Platform, PlatformFile};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -33,15 +33,7 @@ fn corpus(dir: &str) -> Vec<Input> {
 
 /// The same deterministic 2006-era platform `rsg lint --platform` uses.
 fn platform() -> Platform {
-    Platform::generate(
-        ResourceGenSpec {
-            clusters: 40,
-            year: 2006,
-            target_hosts: Some(1200),
-        },
-        TopologySpec::default(),
-        11,
-    )
+    PlatformFile::serve_default().realize()
 }
 
 fn defect_report() -> AnalysisReport {
