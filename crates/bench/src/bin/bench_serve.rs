@@ -3,8 +3,10 @@
 //! Boots an in-process server (ephemeral port, models trained inline
 //! on the tiny observation grid so the run needs no files), then
 //! drives it with N concurrent closed-loop clients — each client
-//! holds exactly one request in flight: connect, POST `/spec`, read
-//! the full response, repeat. Per-request wall latencies are recorded
+//! holds exactly one request in flight: connect, POST `/spec` with
+//! `Connection: close`, read the full response to EOF, repeat. It
+//! measures the connection-per-request path on purpose; the server
+//! keeps connections alive for clients that do not ask to close. Per-request wall latencies are recorded
 //! client-side and reduced to exact (sorted-sample) percentiles, so
 //! `p999` is a real observation, not a histogram bracket.
 //!
@@ -75,7 +77,7 @@ fn one_request(addr: SocketAddr) -> f64 {
     let mut s = TcpStream::connect(addr).expect("connect");
     write!(
         s,
-        "POST /spec HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{}",
+        "POST /spec HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         BODY.len(),
         BODY
     )
@@ -127,7 +129,7 @@ fn checked_request(addr: SocketAddr) -> Result<(), String> {
         .map_err(|e| format!("timeout: {e}"))?;
     write!(
         s,
-        "POST /spec HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{}",
+        "POST /spec HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         BODY.len(),
         BODY
     )
@@ -157,7 +159,7 @@ fn admin_post_full(addr: SocketAddr, path: &str, body: &str) -> Result<(String, 
         .map_err(|e| format!("timeout: {e}"))?;
     write!(
         s,
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{}",
+        "POST {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         body.len(),
         body
     )

@@ -204,7 +204,12 @@ fn probe(addr: SocketAddr, cfg: &ChaosConfig) -> Reply {
     let Ok(mut s) = connect(addr, cfg) else {
         return Reply::Hang;
     };
-    if write!(s, "GET /healthz HTTP/1.1\r\nHost: chaos\r\n\r\n").is_err() {
+    if write!(
+        s,
+        "GET /healthz HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n"
+    )
+    .is_err()
+    {
         return Reply::Closed;
     }
     read_reply(&mut s)
@@ -228,8 +233,10 @@ fn read_reply(s: &mut TcpStream) -> Reply {
             Ok(n) => {
                 raw.extend_from_slice(&chunk[..n]);
                 // A full response always ends after Content-Length
-                // bytes and the server closes; keep reading to EOF but
-                // bail out if someone sends us a flood.
+                // bytes and the server closes (valid requests here ask
+                // for `Connection: close`; faults lose framing); keep
+                // reading to EOF but bail out if someone sends us a
+                // flood.
                 if raw.len() > 1 << 20 {
                     break;
                 }
@@ -355,7 +362,7 @@ fn torn_writes_valid(
     let body = "{\"characteristics\": {\"size\": 60, \"ccr\": 0.2, \"parallelism\": 0.5, \
                 \"density\": 0.5, \"regularity\": 0.8, \"mean_comp\": 10}}";
     let raw = format!(
-        "POST /spec HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\n\r\n{}",
+        "POST /spec HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         body.len(),
         body
     );

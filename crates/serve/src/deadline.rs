@@ -9,17 +9,24 @@
 //! the workspace determinism lint enforces the confinement by file
 //! path.
 //!
-//! A deadline is stamped once, when a connection is *accepted*, so the
-//! budget covers queue wait as well as parsing and handling: a request
-//! that sat in the admission queue for its whole budget is answered
-//! with an overload error instead of being processed late. The numeric
+//! A connection's first request is stamped when the connection is
+//! *accepted*, so its budget covers queue wait as well as parsing and
+//! handling: a request that sat in the admission queue for its whole
+//! budget is answered with an overload error instead of being
+//! processed late. Each later request on a kept-alive connection is
+//! stamped when its first byte arrives, so a slowloris drip on request
+//! 2 still ends in a 408, and time spent idle between requests is not
+//! charged to the next one. A body's `deadline_s` is measured from the
+//! same stamp ([`Deadline::with_budget`]). The idle budget a kept-alive
+//! connection gets between requests is a [`Deadline`] too. The numeric
 //! budget also seeds the negotiator's simulated-time budget
 //! ([`rsg_core::RetryPolicy::total_deadline_s`]) for `/spec` requests
 //! that bind against a selector.
 
 use std::time::Instant;
 
-/// A wall-clock budget stamped at connection accept.
+/// A wall-clock budget stamped at connection accept (a connection's
+/// first request) or at a request's first byte (later requests).
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     start: Instant,
@@ -37,7 +44,7 @@ impl Deadline {
 
     /// The same start instant with a different budget — used when a
     /// request body carries its own `deadline_s`, which is measured
-    /// from accept, not from parse.
+    /// from the request's stamp, not from parse.
     pub fn with_budget(&self, budget_s: f64) -> Deadline {
         Deadline {
             start: self.start,

@@ -1,11 +1,15 @@
-//! A minimal HTTP/1.1 subset: enough to parse one request per
-//! connection and write one response, with no dependencies.
+//! A minimal HTTP/1.1 subset: enough to read requests off a
+//! persistent connection and write their responses, with no
+//! dependencies.
 //!
-//! The server speaks `Connection: close` — one request, one response,
-//! one TCP connection. That keeps the worker pool's accounting trivial
-//! (a queued item *is* a request) and matches the closed-loop shape of
-//! `bench_serve`. Bodies are read by `Content-Length` only; chunked
-//! encoding is rejected as a 400.
+//! Connections are persistent by default, as HTTP/1.1 specifies:
+//! [`read_request_buffered`] reads one request at a time through a
+//! caller-owned buffer that carries pipelined bytes over to the next
+//! call, and reports whether the client asked to close (`Connection:
+//! close`, or HTTP/1.0). [`write_response`] announces the server's
+//! decision in a `Connection: keep-alive|close` header. When to close
+//! is the worker's call (`crate::server`). Bodies are read by
+//! `Content-Length` only; chunked encoding is rejected as a 400.
 //!
 //! Everything the reader accepts is bounded — header bytes
 //! ([`MAX_HEADER_BYTES`]), header count ([`MAX_HEADER_COUNT`]), body
@@ -85,10 +89,31 @@ pub fn read_request_with_deadline(
     max_body: usize,
     deadline: Option<&Deadline>,
 ) -> Result<HttpRequest, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
+    read_request_buffered(stream, &mut Vec::new(), max_body, deadline).map(|(req, _)| req)
+}
+
+/// Reads one request on a persistent connection, returning it with
+/// `close`: whether the client asked for the connection to end after
+/// the response (`Connection: close`, or any protocol version before
+/// HTTP/1.1).
+///
+/// `buf` carries bytes across calls: parsing starts from whatever an
+/// earlier call left there, and bytes past the end of this request (a
+/// pipelined next request) stay in it. On an error `buf` keeps the
+/// partial request, so a caller that reads under short socket timeouts
+/// can retry a [`HttpError::Timeout`] while its deadline is live.
+///
+/// Every bound of [`read_request_with_deadline`] holds. A read happens
+/// only while this request is incomplete and never takes more than
+/// [`MAX_HEADER_BYTES`], so neither do the bytes it leaves over.
+pub fn read_request_buffered(
+    stream: &mut dyn Read,
+    buf: &mut Vec<u8>,
+    max_body: usize,
+    deadline: Option<&Deadline>,
+) -> Result<(HttpRequest, bool), HttpError> {
     let head_end = loop {
-        if let Some(pos) = find_terminator(&buf) {
+        if let Some(pos) = find_terminator(buf) {
             break pos;
         }
         if buf.len() > MAX_HEADER_BYTES {
@@ -99,13 +124,11 @@ pub fn read_request_with_deadline(
         if deadline.is_some_and(Deadline::expired) {
             return Err(HttpError::Timeout);
         }
-        let n = read_classified(stream, &mut chunk)?;
-        if n == 0 {
+        if fill(stream, buf)? == 0 {
             return Err(HttpError::Malformed(
                 "connection closed before the header terminator".into(),
             ));
         }
-        buf.extend_from_slice(&chunk[..n]);
     };
     // The mid-read cap above fires while the flood is still arriving;
     // this one catches a block that sneaks its terminator into the
@@ -132,10 +155,11 @@ pub fn read_request_with_deadline(
         .next()
         .ok_or_else(|| HttpError::Malformed("missing path".into()))?
         .to_string();
-    match parts.next() {
-        Some(v) if v.starts_with("HTTP/1.") => {}
+    let mut close = match parts.next() {
+        Some("HTTP/1.1") => false,
+        Some(v) if v.starts_with("HTTP/1.") => true,
         _ => return Err(HttpError::Malformed("not an HTTP/1.x request".into())),
-    }
+    };
 
     let mut content_length = 0usize;
     let mut header_count = 0usize;
@@ -149,16 +173,20 @@ pub fn read_request_with_deadline(
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        let name = name.trim().to_ascii_lowercase();
+        let name = name.trim();
         let value = value.trim();
-        if name == "content-length" {
+        if name.eq_ignore_ascii_case("content-length") {
             content_length = value
                 .parse()
                 .map_err(|_| HttpError::Malformed(format!("bad Content-Length '{value}'")))?;
-        } else if name == "transfer-encoding" {
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpError::Malformed(
                 "chunked transfer encoding is not supported".into(),
             ));
+        } else if name.eq_ignore_ascii_case("connection") {
+            close |= value
+                .split(',')
+                .any(|token| token.trim().eq_ignore_ascii_case("close"));
         }
     }
     if content_length > max_body {
@@ -166,30 +194,34 @@ pub fn read_request_with_deadline(
     }
 
     let body_start = head_end + 4;
-    let mut body: Vec<u8> = buf[body_start.min(buf.len())..].to_vec();
-    while body.len() < content_length {
+    let body_end = body_start + content_length;
+    while buf.len() < body_end {
         if deadline.is_some_and(Deadline::expired) {
             return Err(HttpError::Timeout);
         }
-        let n = read_classified(stream, &mut chunk)?;
-        if n == 0 {
+        if fill(stream, buf)? == 0 {
             return Err(HttpError::Malformed("connection closed mid-body".into()));
         }
-        body.extend_from_slice(&chunk[..n]);
     }
-    body.truncate(content_length);
-    let body =
-        String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
-    Ok(HttpRequest { method, path, body })
+    let body = String::from_utf8(buf[body_start..body_end].to_vec())
+        .map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
+    buf.drain(..body_end);
+    Ok((HttpRequest { method, path, body }, close))
 }
 
-/// One `read()` with its error classified: a socket-timeout errno
+/// Appends one `read()` of up to [`MAX_HEADER_BYTES`] to `buf`,
+/// returning the count (0 at end of stream). A socket-timeout errno
 /// (`WouldBlock`/`TimedOut`, which is what `SO_RCVTIMEO` produces)
-/// becomes [`HttpError::Timeout`] so the caller can answer 408; every
-/// other failure stays an I/O error (client gone, nothing to answer).
-fn read_classified(stream: &mut dyn Read, chunk: &mut [u8]) -> Result<usize, HttpError> {
+/// becomes [`HttpError::Timeout`] so the caller can answer 408 or
+/// retry; every other failure stays an I/O error (client gone, nothing
+/// to answer).
+pub(crate) fn fill(stream: &mut dyn Read, buf: &mut Vec<u8>) -> Result<usize, HttpError> {
     use std::io::ErrorKind;
-    stream.read(chunk).map_err(|e| match e.kind() {
+    let len = buf.len();
+    buf.resize(len + MAX_HEADER_BYTES, 0);
+    let read = stream.read(&mut buf[len..]);
+    buf.truncate(len + *read.as_ref().unwrap_or(&0));
+    read.map_err(|e| match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => HttpError::Timeout,
         _ => HttpError::Io(e),
     })
@@ -240,20 +272,32 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Serializes `resp` onto the stream (`Connection: close` style).
-pub fn write_response(stream: &mut dyn Write, resp: &HttpResponse) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+/// Serializes `resp` onto the stream, announcing whether the
+/// connection stays open (`Connection: keep-alive`) or closes after
+/// it. Head and body go out in one write: split into two, the body
+/// would wait on the client's delayed ACK of the head under Nagle's
+/// algorithm on any socket without `TCP_NODELAY`.
+pub fn write_response(
+    stream: &mut dyn Write,
+    resp: &HttpResponse,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(160 + resp.body.len());
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         resp.status,
         status_text(resp.status),
-        resp.body.len()
+        resp.body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
     );
     if let Some(s) = resp.retry_after_s {
-        head.push_str(&format!("Retry-After: {s}\r\n"));
+        let _ = write!(out, "Retry-After: {s}\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(&resp.body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -393,6 +437,27 @@ mod tests {
     }
 
     #[test]
+    fn buffered_reads_keep_pipelined_bytes_and_report_close() {
+        let wire = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi\
+                     GET /c HTTP/1.0\r\n\r\nGET /d HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n";
+        let mut stream = &wire[..];
+        let mut buf = Vec::new();
+        let mut next = || read_request_buffered(&mut stream, &mut buf, 1024, None).unwrap();
+        let (a, close) = next();
+        assert_eq!((a.path.as_str(), close), ("/a", false));
+        let (b, close) = next();
+        assert_eq!(
+            (b.path.as_str(), b.body.as_str(), close),
+            ("/b", "hi", false)
+        );
+        let (c, close) = next();
+        assert_eq!((c.path.as_str(), close), ("/c", true), "HTTP/1.0 closes");
+        let (d, close) = next();
+        assert_eq!((d.path.as_str(), close), ("/d", true), "close among tokens");
+        assert!(buf.is_empty());
+    }
+
+    #[test]
     fn socket_timeout_errno_maps_to_timeout() {
         struct TimesOut;
         impl Read for TimesOut {
@@ -414,7 +479,7 @@ mod tests {
             body: "{}".into(),
             retry_after_s: Some(1),
         };
-        write_response(&mut out, &resp).unwrap();
+        write_response(&mut out, &resp, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

@@ -10,7 +10,7 @@ use rsg::core::store;
 use rsg::select::classad::parse_classad;
 use rsg::select::sword::parse_sword;
 use rsg::select::vgdl::parse_vgdl;
-use rsg::serve::http::read_request;
+use rsg::serve::http::{read_request, read_request_buffered, HttpRequest, MAX_HEADER_BYTES};
 use std::io::Read as IoRead;
 
 /// Serves a byte buffer in fixed-size fragments, so the HTTP reader
@@ -29,6 +29,31 @@ impl IoRead for Torn<'_> {
             .len()
             .saturating_sub(self.at)
             .min(self.chunk)
+            .min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Serves a byte buffer in fragments whose sizes cycle through `sizes`,
+/// so the tears land at arbitrary points, request boundaries included.
+struct Fragments<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    sizes: &'a [usize],
+    next: usize,
+}
+
+impl IoRead for Fragments<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.next % self.sizes.len()];
+        self.next += 1;
+        let n = self
+            .bytes
+            .len()
+            .saturating_sub(self.at)
+            .min(size)
             .min(buf.len());
         buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
         self.at += n;
@@ -259,6 +284,52 @@ proptest! {
                 prop_assert!(!shown.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn buffered_reader_splits_pipelined_requests_exactly(
+        requests in prop::collection::vec(
+            (0usize..3, "[a-z]{0,12}", "[ -~]{0,300}", 0usize..3, 0usize..61),
+            1..6,
+        ),
+        sizes in prop::collection::vec(1usize..20_000, 1..6),
+    ) {
+        // Valid requests written back to back, as a pipelining client
+        // sends them, then delivered in torn fragments: each read must
+        // return exactly the next request with its close flag, and the
+        // bytes carried over in the buffer stay within the header cap,
+        // even when padding brings each head near it and one read
+        // spans several requests.
+        let mut wire = String::new();
+        let mut want = Vec::new();
+        for (method, path, body, connection, pad) in &requests {
+            let method = ["GET", "POST", "PUT"][*method];
+            let (header, close) = [
+                ("", false),
+                ("Connection: keep-alive\r\n", false),
+                ("connection: Close\r\n", true),
+            ][*connection];
+            wire.push_str(&format!(
+                "{method} /{path} HTTP/1.1\r\nHost: f\r\n{header}{}content-length: {}\r\n\r\n{body}",
+                format!("X-Pad: {}\r\n", "p".repeat(250)).repeat(*pad),
+                body.len()
+            ));
+            let req = HttpRequest {
+                method: method.to_string(),
+                path: format!("/{path}"),
+                body: body.clone(),
+            };
+            want.push((req, close));
+        }
+        let mut torn = Fragments { bytes: wire.as_bytes(), at: 0, sizes: &sizes, next: 0 };
+        let mut buf = Vec::new();
+        for (i, expected) in want.iter().enumerate() {
+            let got = read_request_buffered(&mut torn, &mut buf, 1024, None);
+            prop_assert!(matches!(&got, Ok(g) if g == expected), "request {i}: {got:?}");
+            prop_assert!(buf.len() <= MAX_HEADER_BYTES, "{} bytes carried over", buf.len());
+        }
+        prop_assert!(buf.is_empty());
+        prop_assert!(read_request_buffered(&mut torn, &mut buf, 1024, None).is_err());
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn request(addr: SocketAddr, ex: &CurlExample) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     write!(
         s,
-        "{} {} HTTP/1.1\r\nHost: docs\r\nContent-Length: {}\r\n\r\n{}",
+        "{} {} HTTP/1.1\r\nHost: docs\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         ex.method,
         ex.path,
         ex.body.len(),

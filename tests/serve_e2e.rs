@@ -46,7 +46,7 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
     let mut s = TcpStream::connect(addr).expect("connect");
     write!(
         s,
-        "{method} {path} HTTP/1.1\r\nHost: e2e\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .expect("send");

@@ -67,7 +67,7 @@ fn spec_request(addr: SocketAddr) -> Result<(), String> {
         .map_err(|e| format!("timeout: {e}"))?;
     write!(
         s,
-        "POST /spec HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{SPEC_BODY}",
+        "POST /spec HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{SPEC_BODY}",
         SPEC_BODY.len()
     )
     .map_err(|e| format!("send: {e}"))?;
@@ -95,7 +95,7 @@ fn raw_request_checked(
         .map_err(|e| format!("timeout: {e}"))?;
     write!(
         s,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .map_err(|e| format!("send: {e}"))?;
@@ -119,7 +119,7 @@ fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, 
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     write!(
         s,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .expect("send");
