@@ -5,8 +5,8 @@
 //! offered load, and everything the pool spends on a doomed request
 //! makes the queue worse. [`ShedState`] tracks exponentially weighted
 //! moving averages of queue wait and service time (fed by the worker
-//! loop from the same measurements the `serve.latency.*` histograms
-//! record) and grades pressure into three levels:
+//! loop, one sample of each per request) and grades pressure into
+//! three levels:
 //!
 //! - **Normal** — everything on.
 //! - **Brownout** — queue wait has crossed the brownout threshold:
@@ -16,9 +16,10 @@
 //!   before refusing keeps the answer rate up through a surge.
 //! - **Shed** — queue wait has crossed the shed threshold: model
 //!   endpoints are answered `503` straight after parse, with a
-//!   `Retry-After` derived from the observed drain rate (pending ×
-//!   mean service time), so polite clients come back exactly when the
-//!   backlog will have cleared instead of stampeding at 1 s.
+//!   `Retry-After` derived from the observed drain rate (busy
+//!   connections × mean service time), so polite clients come back
+//!   exactly when the backlog will have cleared instead of stampeding
+//!   at 1 s.
 //!
 //! Probes (`/healthz`, `/readyz`, `/metrics`) are never shed — an
 //! overloaded server that goes dark to its load balancer turns a
@@ -88,7 +89,8 @@ impl ShedState {
         }
     }
 
-    /// Records one observed queue wait (accept → dequeue), seconds.
+    /// Records one request's queue wait (accept → dequeue; zero for a
+    /// request on a reused connection), seconds.
     pub fn observe_queue_wait(&self, s: f64) {
         ewma_update(&self.queue_wait_ewma_ns, secs_to_ns(s));
     }
@@ -122,11 +124,11 @@ impl ShedState {
 
     /// `Retry-After` seconds for a shed response: the time the current
     /// backlog needs to drain at the observed service rate
-    /// (`pending × mean service time`), clamped to `[1, 60]`. With no
+    /// (`backlog × mean service time`), clamped to `[1, 60]`. With no
     /// service samples yet it falls back to 1 s.
-    pub fn retry_after_s(&self, pending: u64) -> u32 {
+    pub fn retry_after_s(&self, backlog: u64) -> u32 {
         let per_request = self.service_ewma_s();
-        let drain = (pending as f64 * per_request).ceil();
+        let drain = (backlog as f64 * per_request).ceil();
         if drain.is_finite() && drain >= 1.0 {
             drain.min(60.0) as u32
         } else {
