@@ -1,64 +1,40 @@
-//! Incremental-vs-full recomputation benchmark for the push engine.
+//! Deterministic checks of the push engine's incremental
+//! recomputation, written to `BENCH_push.json`.
 //!
-//! Builds a [`PushEngine`] over the tiny observation grid and a
-//! generated platform, times one from-scratch resweep of the whole
-//! model state, then times single-delta batches through the
-//! incremental path — the headline number is the speedup of applying
-//! one platform delta over recomputing everything it could have
-//! touched. A final convergence block drives a seeded, shuffled,
-//! duplicated delta stream (plus one corrupt journal record) through
-//! a journal round-trip and asserts the incremental state is
+//! Builds a [`PushEngine`] over the tiny observation grid and the
+//! serving platform, then applies single-delta batches and asserts the
+//! exact number of cells each one dirties and recomputes: a delta
+//! outside every cell's footprint recomputes nothing, and the worst
+//! case recomputes every cell — the same work as a full resweep, never
+//! more. A final convergence block drives a seeded, shuffled,
+//! duplicated delta stream (plus one corrupt journal record) through a
+//! journal round-trip and asserts the incremental state is
 //! bit-identical to a from-scratch sweep of the final platform, with
-//! zero divergence found by the anti-entropy audit.
+//! zero divergence found by an anti-entropy audit of every cell.
 //!
-//! Writes `BENCH_push.json`. Pass `--quick` for the CI-scale run
-//! (smaller platform, single timing rep); the schema is identical.
+//! Nothing here reads a clock (perfbench's `spec-dag-live` workload
+//! times the push path), so two runs write byte-identical files.
 
 use rsg_bench::deltas::{delta_stream, splitmix};
 use rsg_bench::report::Table;
 use rsg_core::push::{DeltaJournal, DeltaRecord, EngineSweep, PushEngine};
 use rsg_platform::delta::PlatformDelta;
-use rsg_platform::{CostModel, Platform, PlatformFile, ResourceGenSpec, TopologySpec};
-use std::time::Instant;
+use rsg_platform::{CostModel, PlatformFile};
+
+/// Deltas in the convergence block's stream.
+const STREAM_DELTAS: usize = 24;
 
 struct Case {
     name: &'static str,
     dirtied: usize,
     recomputed: usize,
-    incremental_ms: f64,
-    speedup: f64,
 }
 
-/// The serving platform, or a 12-cluster one for the CI-scale run.
-fn platform(quick: bool) -> Platform {
-    if quick {
-        let spec = ResourceGenSpec {
-            clusters: 12,
-            year: 2006,
-            target_hosts: Some(420),
-        };
-        Platform::generate(spec, TopologySpec::default(), 11)
-    } else {
-        PlatformFile::serve_default().realize()
-    }
-}
-
-fn engine(quick: bool) -> PushEngine {
-    EngineSweep::serving().engine(platform(quick), CostModel::default())
-}
-
-/// Times one full from-scratch resweep of the engine's current
-/// platform, best of `reps`.
-fn time_full_resweep(eng: &PushEngine, reps: usize) -> f64 {
-    let sweep = EngineSweep::serving();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let tables = sweep.measure_on(eng.platform());
-        assert!(!tables.is_empty());
-        best = best.min(started.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+fn engine() -> PushEngine {
+    EngineSweep::serving().engine(
+        PlatformFile::serve_default().realize(),
+        CostModel::default(),
+    )
 }
 
 /// The convergence-under-fault proof: shuffled chunks with injected
@@ -66,9 +42,9 @@ fn time_full_resweep(eng: &PushEngine, reps: usize) -> f64 {
 /// engine, then bit-identity against a from-scratch sweep plus a
 /// clean full audit. Returns (deltas, duplicates, bit_identical,
 /// divergent_after_resync, audited).
-fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usize) {
-    let n = if quick { 12 } else { 24 };
-    let stream = delta_stream(&platform(quick), n, seed);
+fn convergence_block(seed: u64) -> (usize, usize, bool, usize, usize) {
+    let mut eng = engine();
+    let stream = delta_stream(eng.platform(), STREAM_DELTAS, seed);
 
     // Shuffle into delivery order and duplicate every third record.
     let mut order: Vec<usize> = (0..stream.len()).collect();
@@ -111,7 +87,6 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
         j.recovered().len() < delivery.len(),
         "the corrupt record should have truncated the replay"
     );
-    let mut eng = engine(quick);
     let (_, refused) = eng.replay(j.recovered());
     assert!(refused.is_empty(), "boot replay refused {refused:?}");
     for chunk in delivery.chunks(5) {
@@ -142,22 +117,17 @@ fn convergence_block(quick: bool, seed: u64) -> (usize, usize, bool, usize, usiz
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let reps = if quick { 1 } else { 3 };
-
     eprintln!("bench_push: building engine (initial sweep)…");
-    let mut eng = engine(quick);
+    let mut eng = engine();
     let cells = eng.cells();
     let clusters = eng.platform().clusters().len();
     let hosts: u32 = eng.platform().clusters().iter().map(|c| c.hosts).sum();
-
-    eprintln!("bench_push: timing full resweep ({reps} rep(s))…");
-    let full_ms = time_full_resweep(&eng, reps);
 
     let by_clock = eng.platform().clusters_by_clock_desc();
     let slowest = *by_clock.last().expect("clusters");
     let fastest = by_clock[0];
     let fast_clock = eng.platform().clusters()[fastest.index()].clock_mhz;
+    // (name, delta, expected dirtied = recomputed cells)
     let singles = [
         (
             "single-host join (outside footprint)",
@@ -165,12 +135,14 @@ fn main() {
                 cluster: slowest,
                 hosts: 1,
             },
+            0,
         ),
         (
             "price change (cost node only)",
             PlatformDelta::PriceChange {
                 dollars_per_hour: 0.42,
             },
+            0,
         ),
         (
             "clock drift on fastest cluster (worst case)",
@@ -178,69 +150,62 @@ fn main() {
                 cluster: fastest,
                 clock_mhz: fast_clock * 1.02,
             },
+            cells,
         ),
     ];
 
     let mut cases = Vec::new();
-    for (i, (name, delta)) in singles.into_iter().enumerate() {
+    for (i, (name, delta, expected)) in singles.into_iter().enumerate() {
         let rec = DeltaRecord {
             seq: i as u64 + 1,
             delta,
         };
-        let started = Instant::now();
         let out = eng.submit_batch(&[rec]).expect("apply");
-        let incremental_ms = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(
+            (out.dirtied, out.recomputed),
+            (expected, expected),
+            "{name}: (dirtied, recomputed) of {cells} cells"
+        );
         cases.push(Case {
             name,
             dirtied: out.dirtied,
             recomputed: out.recomputed,
-            incremental_ms,
-            speedup: full_ms / incremental_ms.max(1e-6),
         });
     }
 
     eprintln!("bench_push: convergence-under-fault block…");
-    let (deltas, duplicates, bit_identical, divergent, audited) =
-        convergence_block(quick, 0xBADC_0FFE);
+    let (deltas, duplicates, bit_identical, divergent, audited) = convergence_block(0xBADC_0FFE);
     assert!(
         bit_identical,
         "incremental state diverged from the from-scratch resweep"
     );
     assert_eq!(divergent, 0, "anti-entropy audit found divergent cells");
+    assert_eq!(audited, cells, "the audit must check every cell");
 
-    let mut table = Table::new(vec!["case", "dirtied", "recomputed", "ms", "speedup"]);
+    let mut table = Table::new(vec!["case", "dirtied", "recomputed", "of cells"]);
     for c in &cases {
         table.row(vec![
             c.name.to_string(),
             c.dirtied.to_string(),
             c.recomputed.to_string(),
-            format!("{:.3}", c.incremental_ms),
-            format!("{:.1}x", c.speedup),
+            cells.to_string(),
         ]);
     }
 
     let mut j = String::new();
     j.push_str("{\n");
     j.push_str("  \"benchmark\": \"rsg-push incremental recomputation\",\n");
-    j.push_str("  \"schema\": \"rsg-bench-push/v1\",\n");
-    j.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
+    j.push_str("  \"schema\": \"rsg-bench-push/v2\",\n");
     j.push_str(&format!(
         "  \"engine\": {{\"cells\": {cells}, \"clusters\": {clusters}, \"hosts\": {hosts}}},\n"
     ));
-    j.push_str(&format!("  \"full_resweep_ms\": {full_ms:.3},\n"));
     j.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"name\": \"{}\", \"dirtied\": {}, \"recomputed\": {}, \
-             \"incremental_ms\": {:.3}, \"speedup_vs_full\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"dirtied\": {}, \"recomputed\": {}}}{}\n",
             c.name,
             c.dirtied,
             c.recomputed,
-            c.incremental_ms,
-            c.speedup,
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }
@@ -253,10 +218,9 @@ fn main() {
     j.push_str("}\n");
     std::fs::write("BENCH_push.json", &j).expect("failed to write BENCH_push.json");
 
-    table.print("rsg-push incremental vs full resweep");
+    table.print("rsg-push incremental recomputation (exact cell counts)");
     eprintln!(
-        "bench_push: full resweep {full_ms:.1} ms; single-host delta speedup {:.0}x; \
-         convergence ok ({deltas} deltas, {duplicates} duplicates, 1 corrupt record)",
-        cases[0].speedup
+        "bench_push: ok — convergence ({deltas} deltas, {duplicates} duplicates, \
+         1 corrupt record, {audited} cells audited); wrote BENCH_push.json"
     );
 }

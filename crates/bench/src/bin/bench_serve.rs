@@ -1,41 +1,31 @@
-//! Closed-loop load generator for `rsg-serve`.
+//! Seeded fault-injection harness for a running `rsg-serve` daemon.
 //!
-//! Boots an in-process server (ephemeral port, models trained inline
-//! on the tiny observation grid so the run needs no files), then
-//! drives it with N concurrent closed-loop clients — each client
-//! holds exactly one request in flight: connect, POST `/spec` with
-//! `Connection: close`, read the full response to EOF, repeat. It
-//! measures the connection-per-request path on purpose; the server
-//! keeps connections alive for clients that do not ask to close. Per-request wall latencies are recorded
-//! client-side and reduced to exact (sorted-sample) percentiles, so
-//! `p999` is a real observation, not a histogram bracket.
-//!
-//! Writes `BENCH_serve.json` with requests/s and p50/p99/p999 per
-//! concurrency level. Pass `--quick` for the CI-scale run (fewer
-//! requests, smaller levels); both modes sweep at least three levels.
-//!
-//! `--chaos` switches to the seeded socket-level fault-injection
-//! harness ([`rsg_bench::chaostcp`]) instead of the load sweep:
+//! Fires the socket-level chaos suite ([`rsg_bench::chaostcp`]) at a
+//! daemon and checks every fault is classified correctly:
 //!
 //! ```text
-//! bench_serve --chaos [--seed N] [--deadline-s S]
+//! bench_serve [--seed N] [--deadline-s S]
 //!             [--target HOST:PORT]          # external daemon (CI)
 //!             [--admin HOST:PORT]           # reload-under-load cycle
 //!             [--reload-dir DIR] [--drain]  # …with these models; then drain
 //! ```
 //!
-//! Without `--target` it boots an in-process daemon. With `--admin`
-//! it also runs (a) a reload-under-load cycle when `--reload-dir` is
-//! given — concurrent `/spec` clients must see zero failures across
-//! repeated `/admin/reload`s, including a deliberately bad model dir
-//! that must roll back — and (b) the delta-stream fault scenarios
-//! against `/admin/platform`: corrupt record, duplicate flood,
-//! out-of-order burst, and deltas landing mid-reload, after which the
-//! daemon must still be alive and fully convergent. With `--drain` it
-//! finishes by draining the daemon. Exits nonzero on any contract
-//! violation, which is what the CI chaos-smoke step keys off.
+//! Without `--target` it boots an in-process daemon (ephemeral port,
+//! models trained inline on the tiny observation grid, so the run
+//! needs no files). With `--admin` it also runs (a) a reload-under-load
+//! cycle when `--reload-dir` is given — concurrent `/spec` clients must
+//! see zero non-200s across repeated `/admin/reload`s, including a
+//! deliberately bad model dir that must roll back — and (b) the
+//! delta-stream fault scenarios against `/admin/platform`: corrupt
+//! record, duplicate flood, out-of-order burst, and deltas landing
+//! mid-reload, after which the daemon must still be alive and fully
+//! convergent. With `--drain` it finishes by draining the daemon.
+//! Exits nonzero on any contract violation, which is what the CI
+//! chaos-smoke step keys off.
+//!
+//! Nothing here measures time: perfbench's `spec-light` workload is
+//! the `/spec` load benchmark.
 
-use rsg_bench::report::Table;
 use rsg_core::curve::CurveConfig;
 use rsg_core::heurmodel::HeuristicPredictionModel;
 use rsg_core::observation::{measure, ObservationGrid};
@@ -44,82 +34,12 @@ use rsg_sched::HeuristicKind;
 use rsg_serve::{ModelRegistry, ServeConfig, Server};
 use std::io::{Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
 
-/// The request every client sends: characteristics-only, so the
-/// server exercises the full predict-and-render path without DAG
+/// The request every `/spec` client sends: characteristics-only, so
+/// the server exercises the full predict-and-render path without DAG
 /// parsing dominating.
 const BODY: &str = "{\"characteristics\": {\"size\": 200, \"ccr\": 0.2, \"parallelism\": 0.6, \
                     \"density\": 0.5, \"regularity\": 0.7, \"mean_comp\": 30}}";
-
-struct Level {
-    clients: usize,
-    requests: usize,
-    elapsed_s: f64,
-    latencies_ms: Vec<f64>,
-}
-
-impl Level {
-    fn requests_per_s(&self) -> f64 {
-        self.requests as f64 / self.elapsed_s.max(1e-9)
-    }
-
-    /// Exact sample percentile (nearest-rank) over the sorted set.
-    fn percentile_ms(&self, q: f64) -> f64 {
-        let n = self.latencies_ms.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        self.latencies_ms[rank - 1]
-    }
-}
-
-fn one_request(addr: SocketAddr) -> f64 {
-    let started = Instant::now();
-    let mut s = TcpStream::connect(addr).expect("connect");
-    write!(
-        s,
-        "POST /spec HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
-        BODY.len(),
-        BODY
-    )
-    .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("read");
-    assert!(
-        reply.starts_with("HTTP/1.1 200"),
-        "non-200 under load: {}",
-        reply.lines().next().unwrap_or("")
-    );
-    started.elapsed().as_secs_f64() * 1e3
-}
-
-fn run_level(addr: SocketAddr, clients: usize, requests: usize) -> Level {
-    let per_client = requests / clients;
-    let started = Instant::now();
-    let lat: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                scope.spawn(move || {
-                    (0..per_client)
-                        .map(|_| one_request(addr))
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client"))
-            .collect()
-    });
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let mut latencies_ms = lat;
-    latencies_ms.sort_by(f64::total_cmp);
-    Level {
-        clients,
-        requests: clients * per_client,
-        elapsed_s,
-        latencies_ms,
-    }
-}
 
 /// One `/spec` request that tolerates nothing: any non-200, short
 /// read, or connect failure is returned as an error string.
@@ -368,8 +288,8 @@ fn arg_value(name: &str) -> Option<String> {
         .cloned()
 }
 
-/// The `--chaos` entry point; returns the process exit code.
-fn chaos_main() -> i32 {
+/// Runs the harness; returns the process exit code.
+fn run() -> i32 {
     let seed = arg_value("--seed")
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(0xC0FF_EE00);
@@ -386,7 +306,7 @@ fn chaos_main() -> i32 {
     let addr: SocketAddr = match &target {
         Some(t) => t.parse().expect("bad --target address"),
         None => {
-            eprintln!("bench_serve --chaos: training models (tiny grid)…");
+            eprintln!("bench_serve: training models (tiny grid)…");
             let tables = measure(
                 &ObservationGrid::tiny(),
                 &CurveConfig::default(),
@@ -416,11 +336,11 @@ fn chaos_main() -> i32 {
         read_timeout_s: 15.0,
         connections_per_fault: 3,
     };
-    eprintln!("bench_serve --chaos: seed {seed}, target {addr}, deadline hint {deadline_s}s");
+    eprintln!("bench_serve: seed {seed}, target {addr}, deadline hint {deadline_s}s");
     let report = match rsg_bench::chaostcp::run_chaos(addr, &chaos_cfg) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("bench_serve --chaos: {e}");
+            eprintln!("bench_serve: {e}");
             return 1;
         }
     };
@@ -430,10 +350,10 @@ fn chaos_main() -> i32 {
     if let Some(admin) = &admin {
         let admin: SocketAddr = admin.parse().expect("bad --admin address");
         if let Some(dir) = &reload_dir {
-            eprintln!("bench_serve --chaos: reload-under-load cycle against {admin}…");
+            eprintln!("bench_serve: reload-under-load cycle against {admin}…");
             let violations = reload_under_load(addr, admin, dir, 6);
             if violations.is_empty() {
-                eprintln!("  ok   reload-under-load       6 cycle(s), zero dropped requests");
+                eprintln!("  ok   reload-under-load       6 cycle(s), zero non-200 answers");
             } else {
                 failed = true;
                 eprintln!("  FAIL reload-under-load");
@@ -442,7 +362,7 @@ fn chaos_main() -> i32 {
                 }
             }
         }
-        eprintln!("bench_serve --chaos: delta-stream scenarios against {admin}…");
+        eprintln!("bench_serve: delta-stream scenarios against {admin}…");
         let violations = delta_scenarios(addr, admin, reload_dir.as_deref());
         if violations.is_empty() {
             eprintln!(
@@ -473,101 +393,14 @@ fn chaos_main() -> i32 {
         server.shutdown();
     }
     if failed {
-        eprintln!("bench_serve --chaos: FAILED (seed {seed})");
+        eprintln!("bench_serve: FAILED (seed {seed})");
         1
     } else {
-        eprintln!("bench_serve --chaos: passed (seed {seed})");
+        eprintln!("bench_serve: passed (seed {seed})");
         0
     }
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--chaos") {
-        std::process::exit(chaos_main());
-    }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (levels, per_level): (&[usize], usize) = if quick {
-        (&[1, 2, 4], 60)
-    } else {
-        (&[1, 4, 16], 480)
-    };
-
-    eprintln!("bench_serve: training models (tiny grid)…");
-    let tables = measure(
-        &ObservationGrid::tiny(),
-        &CurveConfig::default(),
-        &rsg_core::THRESHOLD_LADDER,
-        0,
-    );
-    let registry = ModelRegistry::from_models(
-        ThresholdedSizeModel::fit(&tables),
-        HeuristicPredictionModel::fixed(HeuristicKind::Mcp),
-    );
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
-    };
-    let mut server = Server::spawn(&cfg, registry).expect("spawn server");
-    let addr = server.addr();
-
-    let mut table = Table::new(vec![
-        "clients", "requests", "req/s", "p50 ms", "p99 ms", "p999 ms",
-    ]);
-    let mut results: Vec<Level> = Vec::new();
-    for &clients in levels {
-        // A short warmup level fills the platform/model caches so the
-        // measured window sees steady state.
-        let _ = run_level(addr, clients, clients * 4);
-        let level = run_level(addr, clients, per_level.max(clients));
-        table.row(vec![
-            level.clients.to_string(),
-            level.requests.to_string(),
-            format!("{:.0}", level.requests_per_s()),
-            format!("{:.2}", level.percentile_ms(0.50)),
-            format!("{:.2}", level.percentile_ms(0.99)),
-            format!("{:.2}", level.percentile_ms(0.999)),
-        ]);
-        results.push(level);
-    }
-    server.shutdown();
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"benchmark\": \"rsg-serve closed-loop load\",\n");
-    j.push_str("  \"schema\": \"rsg-bench-serve/v1\",\n");
-    j.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    j.push_str("  \"endpoint\": \"/spec\",\n");
-    j.push_str(&format!(
-        "  \"server\": {{\"workers\": {}, \"queue_depth\": {}, \"default_deadline_s\": {}}},\n",
-        cfg.workers, cfg.queue_depth, cfg.default_deadline_s
-    ));
-    j.push_str("  \"levels\": [\n");
-    for (i, l) in results.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"clients\": {}, \"requests\": {}, \"elapsed_s\": {:.3}, \
-             \"requests_per_s\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"p999_ms\": {:.3}, \"max_ms\": {:.3}}}{}\n",
-            l.clients,
-            l.requests,
-            l.elapsed_s,
-            l.requests_per_s(),
-            l.percentile_ms(0.50),
-            l.percentile_ms(0.99),
-            l.percentile_ms(0.999),
-            l.latencies_ms.last().copied().unwrap_or(0.0),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &j).expect("failed to write BENCH_serve.json");
-
-    table.print("rsg-serve closed-loop load");
-    eprintln!(
-        "bench_serve: wrote BENCH_serve.json ({} levels{})",
-        results.len(),
-        if quick { ", quick mode" } else { "" }
-    );
+    std::process::exit(run());
 }

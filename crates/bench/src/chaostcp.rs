@@ -24,9 +24,8 @@
 //! derived from the target's configured deadline
 //! ([`ChaosConfig::deadline_hint_s`]).
 //!
-//! Run it with `bench_serve --chaos` (in-process daemon) or
-//! `bench_serve --chaos --target HOST:PORT` (external daemon, as CI
-//! does).
+//! Run it with `bench_serve` (in-process daemon) or
+//! `bench_serve --target HOST:PORT` (external daemon, as CI does).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};

@@ -724,8 +724,7 @@ pub fn merge_shards(
 /// exact-size RC per evaluation, full host scans in MCP/DLS, no
 /// memoization. Kept as the reference implementation — [`measure`] must
 /// produce bit-identical tables (asserted in tests and by the
-/// `bench_sweep` binary, which also records the speedup between the
-/// two).
+/// `bench_sweep` binary).
 pub fn measure_naive(
     grid: &ObservationGrid,
     cfg: &CurveConfig,

@@ -4,11 +4,13 @@
 //! tracks a live grid where hosts join and leave, clocks and bandwidths
 //! drift, and prices change. A full resweep per change is unaffordable
 //! and a missed change is silently wrong, so this module maintains the
-//! model state — sweep cells, knee tables, planar fits, the cost
-//! model — under the sweep fingerprint (the same digest the checkpoint
-//! journals record), and propagates [`PlatformDelta`]s through it:
-//! only the cells whose platform footprint actually changed are
-//! recomputed, then the tables and fit downstream of them.
+//! sweep state — per-cell knees, the knee tables assembled from them,
+//! the cost model — under the sweep fingerprint (the same digest the
+//! checkpoint journals record), and propagates [`PlatformDelta`]s
+//! through it: only the cells whose platform footprint actually
+//! changed are recomputed, then the tables downstream of them. The
+//! engine fits no model: the serving tier answers from its loaded
+//! model generation, so answers do not depend on deltas.
 //!
 //! Robustness is the headline contract, in three layers:
 //!
@@ -49,7 +51,6 @@ use crate::observation::{
     assemble_tables, compute_cell, prepare, sweep_fingerprint, KneeTable, ObservationGrid,
     SweepInputs,
 };
-use crate::sizemodel::ThresholdedSizeModel;
 use crate::store::{JournalRecord, RecordJournal};
 use rayon::prelude::*;
 use rsg_obs::Counter;
@@ -305,7 +306,6 @@ pub struct PushEngine {
     families: Vec<RcFamily>,
     per_cell: Vec<Vec<f64>>,
     tables: Vec<KneeTable>,
-    model: ThresholdedSizeModel,
 }
 
 impl PushEngine {
@@ -323,7 +323,6 @@ impl PushEngine {
         let inputs = prepare(&grid, &cfg);
         let (families, per_cell) = sweep_on(&inputs, &cfg, &thetas, refine_rounds, &platform);
         let tables = assemble_tables(&grid, &inputs.cells, &per_cell, &thetas);
-        let model = ThresholdedSizeModel::fit(&tables);
 
         PushEngine {
             grid,
@@ -336,7 +335,6 @@ impl PushEngine {
             families,
             per_cell,
             tables,
-            model,
         }
     }
 
@@ -359,11 +357,6 @@ impl PushEngine {
     /// The knee tables consistent with every applied delta.
     pub fn tables(&self) -> &[KneeTable] {
         &self.tables
-    }
-
-    /// The thresholded size model fitted to [`tables`](Self::tables).
-    pub fn model(&self) -> &ThresholdedSizeModel {
-        &self.model
     }
 
     /// Number of sweep cells under management.
@@ -390,7 +383,7 @@ impl PushEngine {
     /// rolled back), then recomputes the dirty set eagerly: per-cell
     /// families are rederived from the mutated platform and exactly the
     /// cells whose family changed are recomputed, then the downstream
-    /// tables and fit rebuilt.
+    /// tables rebuilt.
     pub fn submit_batch(&mut self, records: &[DeltaRecord]) -> Result<BatchOutcome, DeltaError> {
         let sequenced = self.sequencer.submit_batch(records)?;
         Ok(self.recompute(sequenced))
@@ -410,7 +403,7 @@ impl PushEngine {
     }
 
     /// Mirrors a sequencing outcome into the obs counters and, when
-    /// anything was applied, propagates it through the model.
+    /// anything was applied, propagates it through the sweep state.
     fn recompute(&mut self, sequenced: SequenceOutcome) -> BatchOutcome {
         OBS_DELTAS_APPLIED.add(sequenced.applied as u64);
         OBS_DELTAS_DUPLICATE.add(sequenced.duplicates as u64);
@@ -437,7 +430,7 @@ impl PushEngine {
 
     /// Rederives every cell's family from the current platform,
     /// recomputes exactly the cells whose family changed (the dirty
-    /// set), and rebuilds the downstream tables and fit. Returns
+    /// set), and rebuilds the downstream tables. Returns
     /// `(dirtied, recomputed)`.
     fn propagate(&mut self) -> (usize, usize) {
         let ncells = self.inputs.cells.len();
@@ -477,17 +470,17 @@ impl PushEngine {
         .0
     }
 
-    /// Rebuilds the tables and fit from the per-cell state.
+    /// Rebuilds the tables from the per-cell state.
     fn rebuild_downstream(&mut self) {
         self.tables = assemble_tables(&self.grid, &self.inputs.cells, &self.per_cell, &self.thetas);
-        self.model = ThresholdedSizeModel::fit(&self.tables);
     }
 
-    /// Anti-entropy audit: recomputes a seeded random sample of cells
-    /// from scratch off the live platform and compares bit-for-bit
+    /// Anti-entropy audit: recomputes a seeded random sample of
+    /// exactly `min(sample, cells)` distinct cells from scratch off the
+    /// live platform and compares bit-for-bit
     /// against the incremental state. A divergent cell is replaced by
     /// the fresh value and counted in
-    /// `push.divergence`; the downstream tables and fit are rebuilt
+    /// `push.divergence`; the downstream tables are rebuilt
     /// before the call returns, so the engine never keeps serving a
     /// number it knows to be wrong.
     ///
@@ -496,28 +489,7 @@ impl PushEngine {
     /// cells.
     pub fn audit(&mut self, sample: usize, salt: u64) -> AuditReport {
         OBS_AUDITS.incr();
-        let ncells = self.inputs.cells.len();
-        let mut state = self
-            .fingerprint
-            .wrapping_add(
-                self.staleness()
-                    .applied_seq
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )
-            .wrapping_add(salt);
-        let mut picked = std::collections::BTreeSet::new();
-        for _ in 0..sample.min(ncells) * 4 {
-            // splitmix64 step
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            picked.insert((z % ncells as u64) as usize);
-            if picked.len() >= sample.min(ncells) {
-                break;
-            }
-        }
+        let picked = self.audit_sample(sample, salt);
 
         let mut report = AuditReport {
             checked: picked.len(),
@@ -546,6 +518,37 @@ impl PushEngine {
             self.rebuild_downstream();
         }
         report
+    }
+
+    /// The cells [`audit`](Self::audit) checks: exactly
+    /// `min(sample, cells)` distinct indices in ascending order, drawn
+    /// by a partial Fisher–Yates shuffle on a splitmix64 stream seeded
+    /// from `(fingerprint, applied_seq, salt)`.
+    fn audit_sample(&self, sample: usize, salt: u64) -> Vec<usize> {
+        let ncells = self.inputs.cells.len();
+        let mut state = self
+            .fingerprint
+            .wrapping_add(
+                self.staleness()
+                    .applied_seq
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            )
+            .wrapping_add(salt);
+        let k = sample.min(ncells);
+        let mut order: Vec<usize> = (0..ncells).collect();
+        for i in 0..k {
+            // splitmix64 step
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let j = i + (z % (ncells - i) as u64) as usize;
+            order.swap(i, j);
+        }
+        order.truncate(k);
+        order.sort_unstable();
+        order
     }
 
     /// Test / drill hook: corrupts one cell's incremental state in a
@@ -673,12 +676,28 @@ mod tests {
         eng.poison_cell(0);
         // Audit the whole grid so cell 0 is certainly sampled.
         let report = eng.audit(eng.cells(), 7);
+        assert_eq!(report.checked, eng.cells());
         assert_eq!(report.divergent, 1);
         let reference = EngineSweep::serving().measure_on(eng.platform());
         assert_eq!(eng.tables(), &reference[..]);
         // A second audit finds nothing.
         let report = eng.audit(eng.cells(), 7);
         assert_eq!(report.divergent, 0);
+    }
+
+    #[test]
+    fn audit_checks_exactly_the_requested_number_of_distinct_cells() {
+        let mut eng = engine();
+        let cells = eng.cells();
+        let all: Vec<usize> = (0..cells).collect();
+        for salt in 0..32 {
+            assert_eq!(eng.audit_sample(cells, salt), all, "salt {salt}");
+            assert_eq!(eng.audit_sample(cells + 5, salt), all, "salt {salt}");
+            let three = eng.audit_sample(3, salt);
+            assert!(three.len() == 3 && three.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!(eng.audit_sample(0, 1).is_empty());
+        assert_eq!(eng.audit(cells, 25).checked, cells);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   configured bound.
 //! - The seeded socket-level chaos harness that drives all of the
 //!   above hostile paths against a real daemon lives outside the
-//!   server, in `rsg_bench::chaostcp` (`bench_serve --chaos`, and the
+//!   server, in `rsg_bench::chaostcp` (`bench_serve`, and the
 //!   CI chaos-smoke step).
 //!
 //! The wire format is documented in `docs/API.md`; running, draining,

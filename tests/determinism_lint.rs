@@ -10,24 +10,21 @@
 
 use std::path::{Path, PathBuf};
 
-/// `Instant::now` is fine for *measuring* durations (telemetry, bench
-/// timing, retry backoff) but must never feed a fingerprint or a
+/// `Instant::now` is fine for *measuring* durations (telemetry,
+/// deadlines, retry backoff) but must never feed a fingerprint or a
 /// persisted artifact. Each entry has been reviewed to do only the
 /// former.
 const INSTANT_ALLOWLIST: &[&str] = &[
-    "crates/bench/src/bin/bench_push.rs", // incremental-vs-full timing
-    "crates/bench/src/bin/bench_serve.rs", // load-generator latency timing
-    "crates/bench/src/bin/bench_sweep.rs", // bench wall-time reporting
-    "crates/serve/src/push.rs",           // staleness gap age (never persisted)
-    "crates/serve/src/deadline.rs",       // request deadline stamping
-    "crates/serve/src/lifecycle.rs",      // drain-completion timeout wait
-    "crates/core/src/store.rs",           // write-duration telemetry
-    "crates/obs/src/lib.rs",              // span/report timing
-    "crates/obs/src/span.rs",             // span timing
-    "crates/sched/src/chaos.rs",          // negotiation elapsed/backoff
+    "crates/serve/src/push.rs",      // staleness gap age (never persisted)
+    "crates/serve/src/deadline.rs",  // request deadline stamping
+    "crates/serve/src/lifecycle.rs", // drain-completion timeout wait
+    "crates/core/src/store.rs",      // write-duration telemetry
+    "crates/obs/src/lib.rs",         // span/report timing
+    "crates/obs/src/span.rs",        // span timing
+    "crates/sched/src/chaos.rs",     // negotiation elapsed/backoff
     "crates/sched/src/heuristics/scratch.rs", // bank-reset histogram, obs-gated
-    "crates/sched/src/turnaround.rs",     // scheduling-time measurement
-    "crates/sched/src/simulator.rs",      // scheduling-time measurement
+    "crates/sched/src/turnaround.rs", // scheduling-time measurement
+    "crates/sched/src/simulator.rs", // scheduling-time measurement
 ];
 
 /// `HashMap` iteration order is nondeterministic; files that hold one
