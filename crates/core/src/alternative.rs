@@ -20,11 +20,12 @@
 //! time is simulated: latencies and backoffs accumulate on a virtual
 //! clock, so experiments are fast and deterministic.
 
-use crate::curve::{mean_turnaround, CurveConfig, RcFamily};
+use crate::curve::{mean_turnaround_prepared, prepare_all, CurveConfig, RcFamily};
 use crate::specgen::ResourceSpec;
 use rsg_dag::Dag;
 use rsg_obs::{Counter, TimingHistogram};
 use rsg_platform::ResourceCollection;
+use rsg_sched::PreparedDag;
 use rsg_select::flaky::SelectionOutcome;
 
 /// How a spec was degraded relative to the original.
@@ -64,6 +65,18 @@ pub fn tier_size_threshold(
     clock_lo_mhz: f64,
     cfg: &CurveConfig,
 ) -> Option<f64> {
+    tier_threshold(&prepare_all(dags), size_hi, clock_hi_mhz, clock_lo_mhz, cfg)
+}
+
+/// [`tier_size_threshold`] over prepared instances, so one
+/// [`alternatives`] call prepares each DAG once for all its tiers.
+fn tier_threshold(
+    dags: &[PreparedDag<'_>],
+    size_hi: usize,
+    clock_hi_mhz: f64,
+    clock_lo_mhz: f64,
+    cfg: &CurveConfig,
+) -> Option<f64> {
     assert!(clock_lo_mhz < clock_hi_mhz);
     let hi_cfg = CurveConfig {
         rc_family: RcFamily {
@@ -72,8 +85,8 @@ pub fn tier_size_threshold(
         },
         ..*cfg
     };
-    let target = mean_turnaround(dags, size_hi, &hi_cfg);
-    let width = dags.iter().map(|d| d.width() as usize).max().unwrap_or(1);
+    let target = mean_turnaround_prepared(dags, size_hi, &hi_cfg);
+    let width = max_width(dags);
     let lo_cfg = CurveConfig {
         rc_family: RcFamily {
             clock_mhz: clock_lo_mhz,
@@ -85,13 +98,21 @@ pub fn tier_size_threshold(
     // slack) or the width is exhausted.
     let mut s = size_hi.max(1);
     while s <= width {
-        let t = mean_turnaround(dags, s, &lo_cfg);
+        let t = mean_turnaround_prepared(dags, s, &lo_cfg);
         if t <= target * 1.02 {
             return Some(s as f64 / size_hi.max(1) as f64);
         }
         s = ((s as f64) * 1.25).ceil() as usize;
     }
     None
+}
+
+/// The widest instance's width (1 for no instances).
+fn max_width(dags: &[PreparedDag<'_>]) -> usize {
+    dags.iter()
+        .map(|d| d.dag().width() as usize)
+        .max()
+        .unwrap_or(1)
 }
 
 /// The slower clock tiers, MHz, a spec degrades to when negotiating
@@ -121,14 +142,15 @@ pub fn alternatives(
     cfg: &CurveConfig,
 ) -> Vec<Alternative> {
     let mut out = Vec::new();
+    let dags = prepare_all(dags);
     let eval = |size: usize, clock: f64, het: f64| -> f64 {
         let fam = RcFamily {
             clock_mhz: clock,
             heterogeneity: het,
             ..cfg.rc_family
         };
-        mean_turnaround(
-            dags,
+        mean_turnaround_prepared(
+            &dags,
             size.max(1),
             &CurveConfig {
                 rc_family: fam,
@@ -147,7 +169,7 @@ pub fn alternatives(
     // 1. Slower clock tiers with compensating size. Tiers are deduped
     // and ordered descending so repeated inputs cannot produce
     // duplicate rungs.
-    let width = dags.iter().map(|d| d.width() as usize).max().unwrap_or(1);
+    let width = max_width(&dags);
     let mut tiers: Vec<f64> = clock_tiers
         .iter()
         .copied()
@@ -156,8 +178,8 @@ pub fn alternatives(
     tiers.sort_by(|a, b| b.total_cmp(a));
     tiers.dedup();
     for tier in tiers {
-        let ratio = tier_size_threshold(
-            dags,
+        let ratio = tier_threshold(
+            &dags,
             original.rc_size as usize,
             original.clock_mhz.1,
             tier,

@@ -9,7 +9,8 @@ use rsg_dag::Dag;
 use rsg_obs::Counter;
 use rsg_platform::ResourceCollection;
 use rsg_sched::{
-    evaluate, evaluate_prefix, evaluate_reference, HeuristicKind, SchedTimeModel, TurnaroundReport,
+    evaluate, evaluate_prepared, evaluate_reference, HeuristicKind, PreparedDag, SchedTimeModel,
+    TurnaroundReport,
 };
 use std::collections::HashMap;
 
@@ -142,12 +143,27 @@ pub fn size_ladder(max: usize) -> Vec<usize> {
 /// should go through a [`CurveEvaluator`], which reuses one max-size RC
 /// across all sizes and memoizes results, with bit-identical numbers.
 pub fn mean_turnaround(dags: &[Dag], size: usize, cfg: &CurveConfig) -> f64 {
+    mean_turnaround_prepared(&prepare_all(dags), size, cfg)
+}
+
+/// [`mean_turnaround`] over DAGs prepared by the caller, for callers
+/// that evaluate the same instances at many `(size, family)` points.
+pub(crate) fn mean_turnaround_prepared(
+    dags: &[PreparedDag<'_>],
+    size: usize,
+    cfg: &CurveConfig,
+) -> f64 {
     let rc = cfg.rc_family.build(size);
     let total: f64 = dags
         .iter()
-        .map(|d| evaluate(d, &rc, cfg.heuristic, &cfg.time_model).turnaround_s())
+        .map(|d| evaluate_prepared(d, &rc, rc.len(), cfg.heuristic, &cfg.time_model).turnaround_s())
         .sum();
     total / dags.len() as f64
+}
+
+/// One [`PreparedDag`] per instance, borrowing the instances.
+pub(crate) fn prepare_all(dags: &[Dag]) -> Vec<PreparedDag<'_>> {
+    dags.iter().map(PreparedDag::new).collect()
 }
 
 /// [`mean_turnaround`] through the reference (fast-kernel-free)
@@ -165,19 +181,22 @@ pub fn mean_turnaround_reference(dags: &[Dag], size: usize, cfg: &CurveConfig) -
 
 /// Memoizing turnaround evaluator over one `(dags, cfg)` pair.
 ///
-/// Two reuse layers, both bit-identical to [`mean_turnaround`]:
+/// Three reuse layers, all bit-identical to [`mean_turnaround`]:
 ///
 /// * **RC prefix reuse** — one maximum-size RC is built and every
 ///   smaller size is evaluated as a prefix view of it
-///   ([`evaluate_prefix`]). Valid because [`RcFamily`] draws are
+///   ([`evaluate_prepared`]). Valid because [`RcFamily`] draws are
 ///   prefix-stable: `build(k)` equals the first `k` hosts of
 ///   `build(n)` for any `n ≥ k`.
+/// * **DAG preparation reuse** — each instance is prepared once
+///   ([`PreparedDag`]), so its critical path and priority order are
+///   shared by every size.
 /// * **Per-size memoization** — curve sampling, knee refinement (which
 ///   bisects over already-sampled neighborhoods, once per threshold)
 ///   and the Table V-3 search revisit sizes; each size is scheduled
 ///   once.
 pub struct CurveEvaluator<'a> {
-    dags: &'a [Dag],
+    dags: Vec<PreparedDag<'a>>,
     cfg: CurveConfig,
     rc: ResourceCollection,
     memo: HashMap<usize, f64>,
@@ -189,7 +208,7 @@ impl<'a> CurveEvaluator<'a> {
     pub fn new(dags: &'a [Dag], cfg: &CurveConfig, capacity: usize) -> CurveEvaluator<'a> {
         assert!(!dags.is_empty());
         CurveEvaluator {
-            dags,
+            dags: prepare_all(dags),
             cfg: *cfg,
             rc: cfg.rc_family.build(capacity.max(1)),
             memo: HashMap::new(),
@@ -216,7 +235,7 @@ impl<'a> CurveEvaluator<'a> {
             .dags
             .iter()
             .map(|d| {
-                evaluate_prefix(d, &self.rc, size, self.cfg.heuristic, &self.cfg.time_model)
+                evaluate_prepared(d, &self.rc, size, self.cfg.heuristic, &self.cfg.time_model)
                     .turnaround_s()
             })
             .sum();

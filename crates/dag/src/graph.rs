@@ -155,6 +155,21 @@ impl DagBuilder {
         self.comp.len()
     }
 
+    /// The error naming the first edge, in insertion order, that repeats
+    /// an earlier one. The stamp pass in [`build`](Self::build) visits
+    /// edges by parent index, so it only detects that a duplicate exists;
+    /// this cold path rescans in insertion order to name it.
+    fn first_duplicate_edge(&self, n: usize) -> DagError {
+        let mut seen: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        for &(p, c, _) in &self.edges {
+            if seen[p.index()].contains(&c) {
+                return DagError::DuplicateEdge(p, c);
+            }
+            seen[p.index()].push(c);
+        }
+        unreachable!("first_duplicate_edge called on a builder without duplicate edges")
+    }
+
     /// Validates, freezes and returns the [`Dag`].
     pub fn build(self) -> Result<Dag, DagError> {
         let n = self.comp.len();
@@ -170,11 +185,21 @@ impl DagBuilder {
         let mut parents: Vec<Vec<Edge>> = vec![Vec::new(); n];
         let mut children: Vec<Vec<Edge>> = vec![Vec::new(); n];
         for &(p, c, w) in &self.edges {
-            if children[p.index()].iter().any(|e| e.task == c) {
-                return Err(DagError::DuplicateEdge(p, c));
-            }
             children[p.index()].push(Edge { task: c, comm: w });
             parents[c.index()].push(Edge { task: p, comm: w });
+        }
+        // Duplicate detection in O(V + E): stamp each parent's children
+        // with the parent's index; a child already stamped by the same
+        // parent is a duplicate edge.
+        let mut mark = vec![u32::MAX; n];
+        let mut duplicate = false;
+        for (p, kids) in children.iter().enumerate() {
+            for e in kids {
+                duplicate |= std::mem::replace(&mut mark[e.task.index()], p as u32) == p as u32;
+            }
+        }
+        if duplicate {
+            return Err(self.first_duplicate_edge(n));
         }
 
         // Kahn's algorithm: topological order + cycle detection.
@@ -456,6 +481,19 @@ mod tests {
         b.add_edge(a, c, 0.0).unwrap();
         b.add_edge(a, c, 1.0).unwrap();
         assert_eq!(b.build().unwrap_err(), DagError::DuplicateEdge(a, c));
+    }
+
+    #[test]
+    fn first_inserted_duplicate_is_reported() {
+        // Insertion order and parent-index order disagree: parent 0's
+        // duplicate comes first by index, parent 1's was inserted first.
+        let mut b = DagBuilder::new();
+        let t: Vec<TaskId> = (0..4).map(|_| b.add_task(1.0)).collect();
+        b.add_edge(t[0], t[3], 1.0).unwrap();
+        b.add_edge(t[1], t[2], 1.0).unwrap();
+        b.add_edge(t[1], t[2], 2.0).unwrap();
+        b.add_edge(t[0], t[3], 2.0).unwrap();
+        assert_eq!(b.build().unwrap_err(), DagError::DuplicateEdge(t[1], t[2]));
     }
 
     #[test]

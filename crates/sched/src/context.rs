@@ -6,24 +6,88 @@
 //! scaled by the RC's pairwise communication factor, free intra-host
 //! transfers.
 
-use rsg_dag::{Dag, TaskId};
+use rsg_dag::{CriticalPathInfo, Dag, TaskId};
 use rsg_platform::ResourceCollection;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+
+/// A DAG with the scheduling work that does not depend on the RC:
+/// its critical-path quantities ([`CriticalPathInfo`]) and MCP's
+/// priority order. Each is computed on first use and then shared by
+/// every [`ExecutionContext`] built on this value, so a sweep that
+/// schedules one DAG at every size of an RC-size ladder builds them
+/// once per DAG instead of once per size.
+///
+/// This is the DAG-side twin of the RC's cached speed factors. It
+/// changes no result: heuristics still charge the modeled
+/// [`OpCount`](crate::OpCount) of the critical-path sweeps and the
+/// priority sort on every evaluation, because the scheduling-time
+/// model prices a scheduler that runs from scratch.
+#[derive(Debug, Clone)]
+pub struct PreparedDag<'a> {
+    dag: Cow<'a, Dag>,
+    critical_path: OnceLock<CriticalPathInfo>,
+    mcp_order: OnceLock<Vec<u32>>,
+}
+
+impl<'a> PreparedDag<'a> {
+    /// Prepares a borrowed DAG.
+    pub fn new(dag: &'a Dag) -> PreparedDag<'a> {
+        Self::from_cow(Cow::Borrowed(dag))
+    }
+
+    /// Prepares a DAG it takes ownership of (for holders that outlive
+    /// the code that generated the DAG, such as a sweep's inputs).
+    pub fn owned(dag: Dag) -> PreparedDag<'static> {
+        PreparedDag::from_cow(Cow::Owned(dag))
+    }
+
+    fn from_cow(dag: Cow<'a, Dag>) -> PreparedDag<'a> {
+        PreparedDag {
+            dag,
+            critical_path: OnceLock::new(),
+            mcp_order: OnceLock::new(),
+        }
+    }
+
+    /// The DAG.
+    #[inline]
+    pub fn dag(&self) -> &Dag {
+        &self.dag
+    }
+
+    /// Critical-path quantities of the DAG (computed on first use).
+    pub fn critical_path(&self) -> &CriticalPathInfo {
+        self.critical_path
+            .get_or_init(|| CriticalPathInfo::compute(&self.dag))
+    }
+
+    /// MCP's priority list: task indices in scheduling order (computed
+    /// on first use; see [`Mcp`](crate::heuristics::Mcp)).
+    pub fn mcp_order(&self) -> &[u32] {
+        self.mcp_order
+            .get_or_init(|| crate::heuristics::mcp_priority_order(&self.dag, self.critical_path()))
+    }
+}
 
 /// A scheduling problem instance: `(dag, rc)` plus precomputed speed
-/// factors.
+/// factors and the DAG's [`PreparedDag`].
 ///
 /// The speed factors live in one flat, contiguous `f64` array over the
 /// *whole* RC, cached inside the RC and shared by every context built
 /// on it ([`ResourceCollection::speed_factors`]): constructing a
 /// context is O(1) after the first build, and prefix-limited contexts
 /// (the sweep's RC-size ladder) are just a smaller `hosts` bound over
-/// the same array.
+/// the same array. The DAG side works the same way: a context built
+/// with [`with_prepared`](Self::with_prepared) borrows a
+/// [`PreparedDag`] shared across sizes; [`new`](Self::new) and
+/// [`with_host_limit`](Self::with_host_limit) prepare a fresh one.
 pub struct ExecutionContext<'a> {
     /// The workflow to schedule.
     pub dag: &'a Dag,
     /// The resource collection to schedule onto.
     pub rc: &'a ResourceCollection,
+    prepared: Cow<'a, PreparedDag<'a>>,
     speeds: Arc<[f64]>,
     hosts: usize,
 }
@@ -44,14 +108,41 @@ impl<'a> ExecutionContext<'a> {
         rc: &'a ResourceCollection,
         hosts: usize,
     ) -> ExecutionContext<'a> {
+        Self::build(dag, Cow::Owned(PreparedDag::new(dag)), rc, hosts)
+    }
+
+    /// [`with_host_limit`](Self::with_host_limit) over a prepared DAG:
+    /// the context borrows `prepared`, so its critical path and priority
+    /// order are computed at most once across all contexts built on it.
+    pub fn with_prepared(
+        prepared: &'a PreparedDag<'a>,
+        rc: &'a ResourceCollection,
+        hosts: usize,
+    ) -> ExecutionContext<'a> {
+        Self::build(prepared.dag(), Cow::Borrowed(prepared), rc, hosts)
+    }
+
+    fn build(
+        dag: &'a Dag,
+        prepared: Cow<'a, PreparedDag<'a>>,
+        rc: &'a ResourceCollection,
+        hosts: usize,
+    ) -> ExecutionContext<'a> {
         let hosts = hosts.clamp(1, rc.len());
         let speeds = rc.speed_factors(dag.reference_clock_mhz());
         ExecutionContext {
             dag,
             rc,
+            prepared,
             speeds,
             hosts,
         }
+    }
+
+    /// The DAG's RC-independent preparation.
+    #[inline]
+    pub fn prepared(&self) -> &PreparedDag<'a> {
+        &self.prepared
     }
 
     /// Clock rate of host `h` in MHz (only hosts below [`hosts()`]

@@ -103,7 +103,8 @@ fn schedule_incremental(ctx: &ExecutionContext<'_>) -> (Schedule, OpCount) {
     let hosts = ctx.hosts();
     let mut ops = OpCount::default();
 
-    let info = CriticalPathInfo::compute(dag);
+    // Cached per DAG, charged per evaluation (see the MCP module docs).
+    let info = ctx.prepared().critical_path();
     ops += 2 * (n as u64 + dag.edge_count() as u64);
     let median_speed = scratch::median_speed(ctx);
 

@@ -53,15 +53,15 @@ pub mod turnaround;
 
 pub use bounds::makespan_lower_bound;
 pub use chaos::{execute_with_faults, ChaosError, ChaosOutcome, ChaosStats};
-pub use context::ExecutionContext;
+pub use context::{ExecutionContext, PreparedDag};
 pub use fault::{FaultError, FaultEvent, FaultPlan, FaultPlanSpec};
 pub use heuristics::{Heuristic, HeuristicKind};
 pub use schedule::{Schedule, ScheduleError};
 pub use simulator::{makespan_stretch, replay, try_replay, Perturbation, PerturbationError};
 pub use timemodel::{OpCount, SchedTimeModel};
 pub use turnaround::{
-    evaluate, evaluate_prefix, evaluate_reference, evaluate_with_schedule, resilient_turnaround,
-    ResilienceReport, TurnaroundReport,
+    evaluate, evaluate_prefix, evaluate_prepared, evaluate_reference, evaluate_with_schedule,
+    resilient_turnaround, ResilienceReport, TurnaroundReport,
 };
 
 /// Reference scheduler clock (MHz): the paper runs heuristics on

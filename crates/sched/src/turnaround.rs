@@ -4,7 +4,7 @@
 //! the resource-selection system.
 
 use crate::chaos::ChaosOutcome;
-use crate::context::ExecutionContext;
+use crate::context::{ExecutionContext, PreparedDag};
 use crate::heuristics::HeuristicKind;
 use crate::schedule::Schedule;
 use crate::timemodel::{OpCount, SchedTimeModel};
@@ -140,9 +140,9 @@ pub fn evaluate(
 
 /// Evaluates `heuristic` on the first `size` hosts of `rc` — equivalent
 /// to `evaluate(dag, &rc.prefix(size), …)` but without materializing
-/// the prefix RC. The workhorse of turnaround-vs-size sweeps: one
-/// max-size RC is built per host family and every size borrows a prefix
-/// view of it.
+/// the prefix RC. Prepares `dag` for this one call; a caller that
+/// evaluates the same DAG at several sizes should prepare it once and
+/// use [`evaluate_prepared`].
 pub fn evaluate_prefix(
     dag: &Dag,
     rc: &ResourceCollection,
@@ -150,7 +150,22 @@ pub fn evaluate_prefix(
     heuristic: HeuristicKind,
     model: &SchedTimeModel,
 ) -> TurnaroundReport {
-    let ctx = ExecutionContext::with_host_limit(dag, rc, size);
+    evaluate_prepared(&PreparedDag::new(dag), rc, size, heuristic, model)
+}
+
+/// [`evaluate_prefix`] over a [`PreparedDag`]. The workhorse of
+/// turnaround-vs-size sweeps: one max-size RC is built per host family,
+/// one preparation per DAG, and every size borrows a prefix view of the
+/// RC and the DAG's cached critical path and priority order. The report
+/// is identical to [`evaluate_prefix`]'s except for `wallclock_s`.
+pub fn evaluate_prepared(
+    dag: &PreparedDag<'_>,
+    rc: &ResourceCollection,
+    size: usize,
+    heuristic: HeuristicKind,
+    model: &SchedTimeModel,
+) -> TurnaroundReport {
+    let ctx = ExecutionContext::with_prepared(dag, rc, size);
     evaluate_ctx(&ctx, heuristic, model).0
 }
 

@@ -4,12 +4,14 @@
 //! start, finish) and identical modeled operation counts to the naive
 //! full-host-scan reference implementations. This is the contract that
 //! lets the observation sweep use the kernel without perturbing any
-//! paper-facing number.
+//! paper-facing number. The same holds for DAG preparation: one
+//! `PreparedDag` shared by every size of a ladder schedules exactly
+//! like a DAG prepared afresh for each evaluation.
 
 use proptest::prelude::*;
 use rsg::prelude::*;
 use rsg::sched::heuristics::{fast_placement_available, Dls, DlsNaive, Mcp, McpNaive};
-use rsg::sched::{ExecutionContext, Heuristic};
+use rsg::sched::{ExecutionContext, Heuristic, PreparedDag};
 
 fn dag_spec_strategy() -> impl Strategy<Value = RandomDagSpec> {
     (
@@ -140,6 +142,60 @@ proptest! {
                 reference.sched_time_s,
                 "{} sched time", kind
             );
+        }
+    }
+}
+
+proptest! {
+    // Each case schedules a whole ladder five ways per heuristic and RC
+    // (the reference DLS among them), so it runs fewer, smaller DAGs.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One `PreparedDag` reused across every size of the DAG's ladder ≡
+    /// a fresh `evaluate_prefix` (and the reference implementation) at
+    /// each size, for every heuristic, on an RC where the placement
+    /// kernel engages and on one where it declines: same hosts, start
+    /// and finish times, op counts and turnaround bits.
+    #[test]
+    fn prepared_dag_matches_fresh_evaluation(
+        spec in dag_spec_strategy().prop_map(|s| RandomDagSpec { size: s.size.min(120), ..s }),
+        seed in 0u64..1000,
+        classes in 1usize..4,
+        het in 0.05f64..0.6,
+    ) {
+        let dag = spec.generate(seed);
+        let width = dag.width() as usize;
+        let ladder = rsg::core::curve::size_ladder(width);
+        let prepared = PreparedDag::new(&dag);
+        let model = rsg::sched::SchedTimeModel::default();
+        let engaging = fast_path_rc(classes, width);
+        let declined = ResourceCollection::heterogeneous(width, 3000.0, het, seed)
+            .with_bandwidth_heterogeneity(0.3, seed ^ 5);
+        prop_assert!(fast_placement_available(&ExecutionContext::new(&dag, &engaging)));
+        prop_assert!(!fast_placement_available(&ExecutionContext::new(&dag, &declined)));
+        for (rc_label, rc) in [("engaging", &engaging), ("declined", &declined)] {
+            for &size in &ladder {
+                for kind in HeuristicKind::all() {
+                    let label = format!("{kind}/{rc_label} P={size}");
+                    let shared = ExecutionContext::with_prepared(&prepared, rc, size);
+                    let fresh = ExecutionContext::with_host_limit(&dag, rc, size);
+                    let (s_shared, ops_shared) = kind.run(&shared);
+                    let (s_fresh, ops_fresh) = kind.run(&fresh);
+                    let (s_ref, ops_ref) = kind.run_reference(&fresh);
+                    assert_same_schedule(&label, (&s_shared, ops_shared), (&s_fresh, ops_fresh));
+                    assert_same_schedule(&label, (&s_shared, ops_shared), (&s_ref, ops_ref));
+
+                    let via_prepared =
+                        rsg::sched::evaluate_prepared(&prepared, rc, size, kind, &model);
+                    let via_prefix = rsg::sched::evaluate_prefix(&dag, rc, size, kind, &model);
+                    prop_assert_eq!(via_prepared.ops, via_prefix.ops, "{} ops", label);
+                    prop_assert_eq!(
+                        via_prepared.turnaround_s().to_bits(),
+                        via_prefix.turnaround_s().to_bits(),
+                        "{} turnaround", label
+                    );
+                }
+            }
         }
     }
 }
